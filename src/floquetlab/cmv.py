@@ -14,16 +14,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import su11
-from .errors import NonRealTrace, OutOfDisk
+from .errors import OutOfDisk
 
-_RESCALE_AT = 1e150
-_LOG_SATURATE = 300.0
 TWO_PI = 2.0 * math.pi
 
 
@@ -55,10 +52,6 @@ class VerblunskyCycle:
     @property
     def sup_abs(self) -> float:
         return max(abs(v) for v in self.values)
-
-    @cached_property
-    def rhos(self) -> tuple[float, ...]:
-        return tuple(math.sqrt(1.0 - abs(v) ** 2) for v in self.values)
 
     def repeated(self, n: int) -> "VerblunskyCycle":
         if n < 1:
@@ -103,113 +96,48 @@ def cmv_monodromy(alpha: VerblunskyCycle, theta: float) -> np.ndarray:
     return cmath.exp(-0.5j * alpha.q * theta) * M
 
 
-def _rescale_batch(M: np.ndarray, logscale: np.ndarray) -> None:
-    n = M.shape[0]
-    mx = np.abs(M).reshape(n, 4).max(axis=1)
-    big = mx > _RESCALE_AT
-    if big.any():
-        M[big] /= mx[big, None, None]
-        logscale[big] += np.log(mx[big])
+def _szego_product(alpha: VerblunskyCycle, half: np.ndarray) -> su11.Su11Batch:
+    """One-period products of the Szego steps normalised by z^(-1/2), at
+    z = half**2: a = half / rho and b = -conj(alpha) conj(half) / rho."""
+    values = np.array(alpha.values)[:, None]
+    r = 1.0 / np.sqrt(1.0 - np.abs(values) ** 2)
+    rb = -r * values.conj()
+    half_conj = half.conj()
+    log_growth = np.log(r * (1.0 + np.abs(values))).ravel()
+
+    def steps(lo, hi):
+        return r * half[lo:hi], rb * half_conj[lo:hi]
+
+    return su11.batch_product(steps, half.size, log_growth)
 
 
-def _szego_product_profile(alpha: VerblunskyCycle, thetas: np.ndarray,
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized one-period Szego products over an angle grid."""
-    n = thetas.size
-    z = np.exp(1j * thetas)
-    M = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    logscale = np.zeros(n)
-    for a, rho in zip(alpha.values, alpha.rhos):
-        S = np.empty((n, 2, 2), dtype=complex)
-        r = 1.0 / rho
-        S[:, 0, 0] = r * z
-        S[:, 0, 1] = -r * complex(a).conjugate()
-        S[:, 1, 0] = -r * complex(a) * z
-        S[:, 1, 1] = r
-        M = S @ M
-        _rescale_batch(M, logscale)
-    M = M * np.exp(-0.5j * alpha.q * thetas)[:, None, None]
-    return M, logscale
+def _angles(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """thetas reduced to [0, 2 pi), and exp(i theta / 2)."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float)) % TWO_PI
+    return thetas, np.exp(0.5j * thetas)
 
 
-def _cmv_trace_profile(alpha: VerblunskyCycle, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    thetas = np.asarray(thetas, dtype=float) % TWO_PI
-    M, logscale = _szego_product_profile(alpha, thetas)
-    return M[:, 0, 0] + M[:, 1, 1], logscale
-
-
-def _matrix_power_profile(M: np.ndarray, logscale: np.ndarray, k: int,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    # plain repeated multiplication for small powers: squaring can
-    # amplify rounding error through ill-conditioned elliptic factors
-    if k <= 8:
-        out = M.copy()
-        out_ls = logscale.copy()
-        for _ in range(k - 1):
-            out = M @ out
-            out_ls += logscale
-            _rescale_batch(out, out_ls)
-        return out, out_ls
-    out = np.broadcast_to(np.eye(2, dtype=complex), M.shape).copy()
-    out_ls = np.zeros_like(logscale)
-    base = M.copy()
-    base_ls = logscale.copy()
-    e = k
-    while e:
-        if e & 1:
-            out = base @ out
-            out_ls += base_ls
-            _rescale_batch(out, out_ls)
-        e >>= 1
-        if e:
-            base = base @ base
-            base_ls = base_ls * 2.0
-            _rescale_batch(base, base_ls)
-    return out, out_ls
+def _cmv_trace_profile(alpha: VerblunskyCycle, thetas) -> tuple[np.ndarray, np.ndarray]:
+    thetas, half = _angles(thetas)
+    return su11.batch_trace(_szego_product(alpha, half), thetas)
 
 
 def grouped_cmv_trace_profile(groups: Sequence[tuple[VerblunskyCycle, int]],
                               thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monodromy traces of a cycle concatenation given as (cycle,
     repetitions) groups, using matrix powers for the repeated blocks."""
-    thetas = np.asarray(thetas, dtype=float) % TWO_PI
-    n = thetas.size
-    M = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    logscale = np.zeros(n)
-    for cycle, reps in groups:
-        P, pls = _szego_product_profile(cycle, thetas)
-        if reps > 1:
-            P, pls = _matrix_power_profile(P, pls, reps)
-        M = P @ M
-        logscale += pls
-        _rescale_batch(M, logscale)
-    return M[:, 0, 0] + M[:, 1, 1], logscale
-
-
-def _saturated_real(tr: np.ndarray, logscale: np.ndarray,
-                    thetas: np.ndarray) -> np.ndarray:
-    # 1e-7 relative: rounding noise scales with the largest partial
-    # product, which can dwarf an O(1) trace; genuine branch or transfer
-    # bugs show up at O(1) relative size
-    bad = np.abs(tr.imag) > 1e-7 * np.maximum(1.0, np.abs(tr.real))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonRealTrace(
-            f"CMV trace at theta={thetas[i]} has imaginary part {tr.imag[i]:.3e}")
-    return tr.real * np.exp(np.minimum(logscale, _LOG_SATURATE))
+    thetas, half = _angles(thetas)
+    return su11.batch_trace(su11.batch_concat(
+        (_szego_product(cycle, half), reps) for cycle, reps in groups), thetas)
 
 
 def cmv_discriminant_profile(alpha: VerblunskyCycle, thetas) -> np.ndarray:
     """Real monodromy traces over an angle grid, saturated near 1e130."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    tr, logscale = _cmv_trace_profile(alpha, thetas)
-    return _saturated_real(tr, logscale, thetas)
+    return su11.saturated(*_cmv_trace_profile(alpha, thetas))
 
 
 def grouped_cmv_discriminant_profile(groups, thetas) -> np.ndarray:
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    tr, logscale = grouped_cmv_trace_profile(groups, thetas)
-    return _saturated_real(tr, logscale, thetas)
+    return su11.saturated(*grouped_cmv_trace_profile(groups, thetas))
 
 
 def cmv_discriminant(alpha: VerblunskyCycle, theta: float) -> float:
@@ -321,14 +249,12 @@ def _scan_arcs(profile, q: int, tol: float) -> ArcSet:
 
     # assemble runs of inside points cyclically, then cut at theta = 0
     arcs: list[tuple[float, float]] = []
-    trans_list = list(trans)
-    for k, i in enumerate(trans_list):
+    for k, i in enumerate(trans):
         # arc ends at transition i (inside -> outside); it began at the
-        # previous outside -> inside transition
+        # previous outside -> inside transition, k - 1 cyclically
         if not inside[i]:
             continue
-        j = trans_list[k - 1]
-        start = float(edges[trans_list.index(j)])
+        start = float(edges[k - 1])
         end = float(edges[k])
         arcs.append((start, end))
     normalized: list[tuple[float, float]] = []
@@ -354,19 +280,7 @@ def cmv_lyapunov(alpha: VerblunskyCycle, theta: float) -> float:
 
 
 def cmv_lyapunov_profile(alpha: VerblunskyCycle, thetas) -> np.ndarray:
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    tr, logscale = _cmv_trace_profile(alpha, thetas)
-    absD_log = np.log(np.maximum(np.abs(tr.real), 1e-300)) + logscale
-    out = np.zeros(thetas.size)
-    big = absD_log > math.log(1e15)
-    mid = ~big & (absD_log > math.log(2.0) - 1e-12)
-    if mid.any():
-        D = np.abs(tr.real[mid]) * np.exp(logscale[mid])
-        D = np.maximum(D, 2.0)
-        out[np.flatnonzero(mid)] = np.log((D + np.sqrt(D * D - 4.0)) / 2.0)
-    if big.any():
-        out[np.flatnonzero(big)] = absD_log[big]
-    return np.maximum(out / alpha.q, 0.0)
+    return su11.log_spectral_radius(*_cmv_trace_profile(alpha, thetas)) / alpha.q
 
 
 def extended_cmv_truncation(alpha: VerblunskyCycle, copies: int,
@@ -387,12 +301,13 @@ def extended_cmv_truncation(alpha: VerblunskyCycle, copies: int,
     q = alpha.q
     size = 2 * copies * q
     wrap = boundary == "periodic"
+    rhos = tuple(math.sqrt(1.0 - abs(v) ** 2) for v in alpha.values)
 
     def av(n: int) -> complex:
         return alpha.values[n % q]
 
     def rv(n: int) -> float:
-        return alpha.rhos[n % q]
+        return rhos[n % q]
 
     E = np.zeros((size, size), dtype=complex)
 

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import cmv, dirac, su11
-from .errors import (BudgetExhausted, CommutingInput, NotElliptic, NTooSmall,
-                     NumericalAssertionError, WordNotFound)
+from .errors import (BudgetExhausted, CommutingInput, NotElliptic,
+                     NotInGroup, NTooSmall, NumericalAssertionError,
+                     WordNotFound)
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,7 +96,7 @@ def _prepare(phi: dirac.PiecewisePotential) -> dirac.PiecewisePotential:
 def _disk_offset(rng: np.random.Generator, radius: float) -> complex:
     u = rng.uniform()
     v = rng.uniform()
-    return radius * math.sqrt(u) * np.exp(2j * math.pi * v)
+    return complex(radius * math.sqrt(u) * np.exp(2j * math.pi * v))
 
 
 def _perturb_potential(phi: dirac.PiecewisePotential, rng: np.random.Generator,
@@ -174,9 +176,9 @@ def _perturb_potential_resonant(phi: dirac.PiecewisePotential,
                 segs.append((h, value))
                 first = False
                 continue
-            offset = sum(
+            offset = complex(sum(
                 a * np.exp(1j * (ph + direction * TWO_PI * nu * mid / T))
-                for nu, a, ph in modes)
+                for nu, a, ph in modes))
             segs.append((h, value + offset))
         x += length
     return dirac.PiecewisePotential(segments=tuple(segs))
@@ -243,7 +245,10 @@ def _open_gap_dirac(phi_orig, phi0, lam, eps, rng, budget, depth, pre):
         else:
             phi1 = _perturb_potential(phi0p, rng, eps / 2.0)
         M1 = dirac.monodromy(phi1, lam)
-        t1 = su11.real_trace(M1)
+        try:
+            t1 = su11.real_trace(M1)
+        except NotInGroup:
+            continue
         if single_ok and 2.0 + budget.word.trace_margin < abs(t1) <= budget.word.trace_cap:
             # the partner alone is hyperbolic: single-letter word
             word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
@@ -254,7 +259,7 @@ def _open_gap_dirac(phi_orig, phi0, lam, eps, rng, budget, depth, pre):
         else:
             try:
                 word = su11.hyperbolic_in_semigroup(M0, M1, budget.word)
-            except (WordNotFound, CommutingInput, NotElliptic):
+            except (WordNotFound, CommutingInput, NotElliptic, NotInGroup):
                 continue
         phit = _concat_word_potential(phi0p, phi1, word)
         Dt = dirac.discriminant(phit, lam)
@@ -335,7 +340,7 @@ class CoverOptions:
     max_common_blocks: int = 24
     kappa_threshold: float = 1e-3
     grid_points: int = 2048
-    max_members: int = 60
+    max_members: int = 96
     trace_cap: float = 4.0
     samples_per_target: int = 150
     word_nodes: int = 60_000
@@ -467,17 +472,15 @@ class ConstructionReport:
         return len(self.cover)
 
     def to_json_dict(self) -> dict:
+        """JSON document of the report; reports of one cover share its
+        rows, so treat the "cover" entry as read-only."""
         if self.kind == "dirac":
-            cover = [[[l, v.real, v.imag] for l, v in mem.segments]
-                     for mem in self.cover]
             spectrum = [list(iv) for iv in self.spectrum.intervals]
         else:
-            cover = [[[v.real, v.imag] for v in mem.values]
-                     for mem in self.cover]
             spectrum = [list(arc) for arc in self.spectrum.arcs]
         return {
             "kind": self.kind,
-            "cover": cover,
+            "cover": _cover_rows(self.kind, self.cover),
             "kappa": self.kappa,
             "N": self.n_value,
             "N_hat": self.n_hat,
@@ -492,6 +495,20 @@ class ConstructionReport:
             "seed": self.seed,
             "fitted_rate": self.fitted_rate,
         }
+
+
+@lru_cache(maxsize=1)
+def _cover_rows(kind: str, cover: tuple) -> list:
+    # the reports of one thin run, one per N, share one cover: building
+    # its rows once keeps one copy for all of them, and the members a
+    # padded cover repeats share their rows as well
+    rows: dict[int, list] = {}
+    for mem in cover:
+        if id(mem) not in rows:
+            rows[id(mem)] = ([[l, v.real, v.imag] for l, v in mem.segments]
+                             if kind == "dirac" else
+                             [[v.real, v.imag] for v in mem.values])
+    return [rows[id(mem)] for mem in cover]
 
 
 def feasibility_threshold(m: int, block_ratio: int) -> int:
@@ -650,7 +667,10 @@ def _open_gap_cmv(alpha_orig, alpha, theta, eps, rng, budget, depth, pre):
         else:
             beta = _perturb_cycle(alphap, rng, eps / 2.0)
         M1 = cmv.cmv_monodromy(beta, theta)
-        t1 = su11.real_trace(M1)
+        try:
+            t1 = su11.real_trace(M1)
+        except NotInGroup:
+            continue
         if single_ok and 2.0 + budget.word.trace_margin < abs(t1) <= budget.word.trace_cap:
             word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
         elif abs(t1) > 2.0 - budget.elliptic_margin:
@@ -660,7 +680,7 @@ def _open_gap_cmv(alpha_orig, alpha, theta, eps, rng, budget, depth, pre):
         else:
             try:
                 word = su11.hyperbolic_in_semigroup(M0, M1, budget.word)
-            except (WordNotFound, CommutingInput, NotElliptic):
+            except (WordNotFound, CommutingInput, NotElliptic, NotInGroup):
                 continue
         blocks = (alphap, beta)
         tilde = cmv.concatenate_cycles(blocks[letter].repeated(count)

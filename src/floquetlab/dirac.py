@@ -21,12 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import su11
-from .errors import BandCountExceeded, NonRealTrace, NotElliptic, NotInBandInterior
+from .errors import BandCountExceeded, NotElliptic, NotInBandInterior
 
-# Renormalize batched products when entries exceed this.
-_RESCALE_AT = 1e150
-# Saturate reconstructed discriminants at exp(300) ~ 2e130.
-_LOG_SATURATE = 300.0
 # Refuse density-of-states evaluation when |D| is this close to 2.
 DOS_EDGE_MARGIN = 1e-6
 
@@ -177,26 +173,6 @@ def step_matrix(c, z, length: float) -> np.ndarray:
     )
 
 
-def _step_batch(c, zs: np.ndarray, length: float) -> np.ndarray:
-    """step_matrix vectorized over a 1-d array of spectral parameters."""
-    c = complex(c)
-    zs = np.asarray(zs, dtype=complex)
-    w = (length * length) * (abs(c) ** 2 - zs * zs)
-    s = np.sqrt(w)
-    small = np.abs(w) < 1e-12
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ch = np.where(small, 1.0 + w / 2.0 + w * w / 24.0, np.cosh(s))
-        shc = np.where(small, 1.0 + w / 6.0 + w * w / 120.0,
-                       np.sinh(s) / np.where(small, 1.0, s))
-    e = length * shc
-    out = np.empty(zs.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = ch - 1j * zs * e
-    out[..., 0, 1] = 1j * c * e
-    out[..., 1, 0] = -1j * c.conjugate() * e
-    out[..., 1, 1] = ch + 1j * zs * e
-    return out
-
-
 def transfer(phi: PiecewisePotential, x: float, y: float, z) -> np.ndarray:
     """Propagator A_z(y, x): ordered product of segment steps over [x, y].
 
@@ -241,116 +217,84 @@ def monodromy(phi: PiecewisePotential, z, base: float = 0.0) -> np.ndarray:
 # Discriminant and band structure
 # ---------------------------------------------------------------------------
 
-def _rescale_batch(M: np.ndarray, logscale: np.ndarray) -> None:
-    n = M.shape[0]
-    mx = np.abs(M).reshape(n, 4).max(axis=1)
-    big = mx > _RESCALE_AT
-    if big.any():
-        M[big] /= mx[big, None, None]
-        logscale[big] += np.log(mx[big])
+def _real_cosh_sinhc(nw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_cosh_sinhc elementwise at real w = -nw: cos and sin where w < 0,
+    cosh and sinh where w > 0, the series where |w| < 1e-12."""
+    s = np.sqrt(np.abs(nw))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # cos s = (1 - t^2) / (1 + t^2) and sin s = 2 t / (1 + t^2) with
+        # t = tan(s / 2): one vectorized tan costs a fraction of np.cos
+        # plus np.sin, at the same accuracy
+        t = np.tan(0.5 * s)
+        tt = t * t
+        d = 1.0 / (1.0 + tt)
+        ch = (1.0 - tt) * d
+        sh = 2.0 * t * d
+        hyp = nw < 0.0
+        if hyp.any():
+            np.copyto(ch, np.cosh(s), where=hyp)
+            np.copyto(sh, np.sinh(s), where=hyp)
+        shc = sh / s
+    small = np.abs(nw) < 1e-12
+    if small.any():
+        w = -nw[small]
+        ch[small] = 1.0 + w / 2.0 + w * w / 24.0
+        shc[small] = 1.0 + w / 6.0 + w * w / 120.0
+    return ch, shc
 
 
-def _period_product_profile(phi: PiecewisePotential, lams: np.ndarray,
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Monodromy matrices over an array of real energies, with rescaling.
+def _period_product(phi: PiecewisePotential, lams: np.ndarray) -> su11.Su11Batch:
+    """One-period products at real energies: each segment step is
+    a = ch - i lam e, b = i c e with e = length sinh(sqrt(w))/sqrt(w)
+    and w = length^2 (|c|^2 - lam^2)."""
+    lengths = np.array([length for length, _ in phi.segments])[:, None]
+    values = np.array([c for _, c in phi.segments])[:, None]
+    l2 = lengths * lengths
+    absc = np.abs(values)
+    c2 = absc ** 2
+    # |a| + |b| <= cosh(length |c|) (1 + length (|lam| + |c|)) per step
+    lam_max = float(np.max(np.abs(lams))) if lams.size else 0.0
+    log_growth = (lengths * absc + np.log1p(lengths * (lam_max + absc))).ravel()
 
-    Returns (M, logscale): the true matrix is M * exp(logscale);
-    rescaling keeps long products finite deep inside spectral gaps.
-    """
-    lams = np.asarray(lams, dtype=float)
-    n = lams.size
-    M = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    logscale = np.zeros(n)
-    for length, c in phi.segments:
-        M = _step_batch(c, lams, length) @ M
-        _rescale_batch(M, logscale)
-    return M, logscale
+    def steps(lo, hi):
+        lam = lams[lo:hi]
+        ch, shc = _real_cosh_sinhc(l2 * (lam * lam - c2))
+        e = lengths * shc
+        a = np.empty(e.shape, dtype=complex)
+        a.real = ch
+        np.multiply(e, -lam, out=a.imag)
+        return a, (1j * values) * e
 
-
-def _matrix_power_profile(M: np.ndarray, logscale: np.ndarray, k: int,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """k-th power of a batch of scaled matrices by binary exponentiation."""
-    # plain repeated multiplication for small powers: squaring can
-    # amplify rounding error through ill-conditioned elliptic factors
-    if k <= 8:
-        out = M.copy()
-        out_ls = logscale.copy()
-        for _ in range(k - 1):
-            out = M @ out
-            out_ls += logscale
-            _rescale_batch(out, out_ls)
-        return out, out_ls
-    out = np.broadcast_to(np.eye(2, dtype=complex), M.shape).copy()
-    out_ls = np.zeros_like(logscale)
-    base = M.copy()
-    base_ls = logscale.copy()
-    e = k
-    while e:
-        if e & 1:
-            out = base @ out
-            out_ls += base_ls
-            _rescale_batch(out, out_ls)
-        e >>= 1
-        if e:
-            base = base @ base
-            base_ls = base_ls * 2.0
-            _rescale_batch(base, base_ls)
-    return out, out_ls
+    return su11.batch_product(steps, lams.size, log_growth)
 
 
-def _trace_profile(phi: PiecewisePotential, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    M, logscale = _period_product_profile(phi, lams)
-    return M[:, 0, 0] + M[:, 1, 1], logscale
+def _trace_profile(phi: PiecewisePotential, lams) -> tuple[np.ndarray, np.ndarray]:
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    return su11.batch_trace(_period_product(phi, lams), lams)
 
 
 def grouped_trace_profile(groups: Sequence[tuple[PiecewisePotential, int]],
                           lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monodromy traces of a concatenation given as (block, repetitions)
-    groups; repeated blocks are raised to matrix powers, so the cost per
-    energy is one period product per distinct block plus log(reps)
-    squarings."""
-    lams = np.asarray(lams, dtype=float)
-    n = lams.size
-    M = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    logscale = np.zeros(n)
-    for block, reps in groups:
-        P, pls = _period_product_profile(block, lams)
-        if reps > 1:
-            P, pls = _matrix_power_profile(P, pls, reps)
-        M = P @ M
-        logscale += pls
-        _rescale_batch(M, logscale)
-    return M[:, 0, 0] + M[:, 1, 1], logscale
-
-
-def _saturated_real(tr: np.ndarray, logscale: np.ndarray,
-                    lams: np.ndarray) -> np.ndarray:
-    # 1e-7 relative: rounding noise scales with the largest partial
-    # product, which can dwarf an O(1) trace; genuine branch or transfer
-    # bugs show up at O(1) relative size
-    bad = np.abs(tr.imag) > 1e-7 * np.maximum(1.0, np.abs(tr.real))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonRealTrace(
-            f"discriminant at lambda={lams[i]} has imaginary part {tr.imag[i]:.3e}")
-    return tr.real * np.exp(np.minimum(logscale, _LOG_SATURATE))
+    groups, as (trace, logscale) with true trace = trace * exp(logscale);
+    repeated blocks are raised to matrix powers, so the cost per energy
+    is one period product per distinct block plus log(reps) squarings."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    return su11.batch_trace(su11.batch_concat(
+        (_period_product(block, lams), reps) for block, reps in groups), lams)
 
 
 def discriminant_profile(phi: PiecewisePotential, lams) -> np.ndarray:
     """Real discriminant values over an energy grid, saturated near 1e130."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    tr, logscale = _trace_profile(phi, lams)
-    return _saturated_real(tr, logscale, lams)
+    return su11.saturated(*_trace_profile(phi, lams))
 
 
 def grouped_discriminant_profile(groups, lams) -> np.ndarray:
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    tr, logscale = grouped_trace_profile(groups, lams)
-    return _saturated_real(tr, logscale, lams)
+    return su11.saturated(*grouped_trace_profile(groups, lams))
 
 
 def discriminant(phi: PiecewisePotential, lam: float) -> float:
-    """Trace of the monodromy at real energy; asserted real to 1e-9."""
+    """Trace of the monodromy at real energy."""
     return float(discriminant_profile(phi, [lam])[0])
 
 
@@ -381,12 +325,6 @@ class BandSet:
 
     def contains(self, lam: float, tol: float = 0.0) -> bool:
         return self.distance(lam) <= tol
-
-
-def _scan_grid(phi: PiecewisePotential, R: float) -> np.ndarray:
-    spacing = math.pi / (8.0 * phi.period * (1.0 + phi.sup_norm))
-    npts = max(int(math.ceil(2.0 * R / spacing)) + 1, 9)
-    return np.linspace(-R, R, npts)
 
 
 def bands(phi: PiecewisePotential, R: float, tol: float,
@@ -485,20 +423,7 @@ def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
 
 def lyapunov_profile(phi: PiecewisePotential, lams) -> np.ndarray:
     """Lyapunov exponent over an array of real energies (vectorized)."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    tr, logscale = _trace_profile(phi, lams)
-    absD_log = np.log(np.maximum(np.abs(tr.real), 1e-300)) + logscale
-    out = np.zeros(lams.size)
-    # |D| <= 2: unimodular eigenvalues, exponent 0
-    big = absD_log > math.log(1e15)
-    mid = ~big & (absD_log > math.log(2.0) - 1e-12)
-    if mid.any():
-        D = np.abs(tr.real[mid]) * np.exp(logscale[mid])
-        D = np.maximum(D, 2.0)
-        out[np.flatnonzero(mid)] = np.log((D + np.sqrt(D * D - 4.0)) / 2.0)
-    if big.any():
-        out[np.flatnonzero(big)] = absD_log[big]
-    return np.maximum(out / phi.period, 0.0)
+    return su11.log_spectral_radius(*_trace_profile(phi, lams)) / phi.period
 
 
 def _scaled_monodromy(phi: PiecewisePotential, z, base: float = 0.0) -> tuple[np.ndarray, float]:
@@ -508,7 +433,7 @@ def _scaled_monodromy(phi: PiecewisePotential, z, base: float = 0.0) -> tuple[np
     for length, c in phi.segments:
         M = step_matrix(c, z, length) @ M
         mx = float(np.max(np.abs(M)))
-        if mx > _RESCALE_AT:
+        if mx > su11.RESCALE_AT:
             M = M / mx
             logscale += math.log(mx)
     if base != 0.0:

@@ -40,7 +40,8 @@ class WordNotFound(SearchFailure):
 
 
 class NonRealTrace(NumericalAssertionError):
-    """A discriminant came out with a non-negligible imaginary part."""
+    """A batched monodromy failed its rounding check: the determinant
+    defect of the product bounds a trace error above tolerance."""
 
 
 class BandCountExceeded(NumericalAssertionError):

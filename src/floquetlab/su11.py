@@ -6,10 +6,12 @@ cmv modules.  This module supplies the group-level machinery those
 modules share: membership defect, trace classification, Moebius action
 on the disk, conjugation of elliptic elements to diagonal rotations,
 the Cayley transform to SL(2,R), Cayley-Hamilton lower bounds used by
-Gordon-type estimates, and a deterministic search for hyperbolic
-elements in the semigroup generated by two elliptic matrices.
+Gordon-type estimates, batched products of real-energy transfer
+matrices stored as the pair (a, b) of [[a, b], [conj b, conj a]], and a
+deterministic search for hyperbolic elements in the semigroup generated
+by two elliptic matrices.
 
-All matrices are 2x2 complex numpy arrays.
+Outside the batched kernel, all matrices are 2x2 complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -17,21 +19,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CommutingInput, NotElliptic, NotInGroup, WordNotFound
+from .errors import (CommutingInput, NonRealTrace, NotElliptic, NotInGroup,
+                     WordNotFound)
 
 # Membership and classification tolerances.  Transfer matrices are
 # products of closed-form exponentials, so only rounding error accumulates.
 GROUP_TOL = 1e-9
 PARABOLIC_TOL = 1e-9
 
-# j, J and the swap matrix; the Pauli matrices up to sign.
+# The form j defining the group.
 FORM_J = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-WRONSKIAN_J = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-SWAP_J = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 # Unitary Cayley transform: M in SU(1,1) iff CAYLEY_W* M CAYLEY_W in SL(2,R).
 CAYLEY_W = -(1.0 / (1.0 + 1.0j)) * np.array([[1.0, -1.0j], [1.0, 1.0j]])
@@ -212,6 +213,170 @@ def gordon_lower_bounds(M, v) -> tuple[float, float]:
     m3 = float(max(n(Minv_v), n(Mv), n(M2v)))
     m2 = float(max(n(Mv), n(M2v)))
     return m3, m2
+
+
+# ---------------------------------------------------------------------------
+# Batched products
+# ---------------------------------------------------------------------------
+#
+# Every real-energy transfer matrix of both operator families has the
+# form [[a, b], [conj b, conj a]] with |a|^2 - |b|^2 = 1, so a batch of
+# them is stored as the two arrays a and b.  A product carries a log
+# scale: the true matrix is (a, b) * exp(logscale), hence
+# |a|^2 - |b|^2 = exp(-2 logscale) and |a| is the largest entry.
+
+# Divide a product by |a| once |a| exceeds this.
+RESCALE_AT = 1e150
+# Steps x points of one chunk of a step product: its arrays stay in cache.
+CHUNK = 1 << 13
+# Bound on |a| + |b| of a step product below which its partial products
+# need no rescaling.
+GROWTH_LIMIT = 1e100
+# Saturate reconstructed traces at exp(300) ~ 2e130.
+LOG_SATURATE = 300.0
+# Largest estimated trace error, relative to max(1, |trace|), accepted
+# from the determinant defect of a finished product.
+DEFECT_TOL = 1e-7
+
+
+class Su11Batch(NamedTuple):
+    """A batch of scaled SU(1,1) matrices (a, b) * exp(logscale)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    logscale: np.ndarray
+
+
+def _rescale(P: Su11Batch) -> None:
+    absa = np.abs(P.a)
+    big = absa > RESCALE_AT
+    if big.any():
+        P.a[big] /= absa[big]
+        P.b[big] /= absa[big]
+        P.logscale[big] += np.log(absa[big])
+
+
+def _mul_unscaled(P: Su11Batch, Q: Su11Batch) -> Su11Batch:
+    return Su11Batch(P.a * Q.a + P.b * Q.b.conj(), P.a * Q.b + P.b * Q.a.conj(),
+                     P.logscale + Q.logscale)
+
+
+def batch_mul(P: Su11Batch, Q: Su11Batch) -> Su11Batch:
+    """The products P @ Q, rescaled."""
+    out = _mul_unscaled(P, Q)
+    _rescale(out)
+    return out
+
+
+def _pairwise_product(a: np.ndarray, b: np.ndarray, rescale: bool) -> Su11Batch:
+    # rows are steps in time order; each level multiplies neighbouring
+    # rows, an odd last row waits for the next level
+    P = Su11Batch(a, b, np.zeros(a.shape))
+    while P.a.shape[0] > 1:
+        if rescale:
+            _rescale(P)
+        m = P.a.shape[0] // 2 * 2
+        Q = _mul_unscaled(Su11Batch(*(x[1:m:2] for x in P)),
+                          Su11Batch(*(x[0:m:2] for x in P)))
+        if m < P.a.shape[0]:
+            Q = Su11Batch(*(np.concatenate((x, y[m:])) for x, y in zip(Q, P)))
+        P = Q
+    P = Su11Batch(*(x[0] for x in P))
+    _rescale(P)
+    return P
+
+
+def batch_product(steps, n: int, log_growth: np.ndarray) -> Su11Batch:
+    """Ordered products of steps at n points, the first step rightmost.
+
+    steps(lo, hi) returns the arrays a and b, shape (nsteps, hi - lo), of
+    the steps at points lo:hi, and log_growth[k] bounds log(|a| + |b|)
+    of step k over the points.  The points are taken in chunks of at
+    most CHUNK steps x points; a chunk is reduced by products of
+    neighbours, level by level.  When the bounds sum to less than
+    log(GROWTH_LIMIT), no partial product can overflow and only the
+    finished products are rescaled.
+    """
+    width = max(1, CHUNK // len(log_growth))
+    rescale = not np.sum(log_growth) <= math.log(GROWTH_LIMIT)
+    parts = [_pairwise_product(*steps(lo, min(lo + width, n)), rescale)
+             for lo in range(0, max(n, 1), width)]
+    if len(parts) == 1:
+        return parts[0]
+    return Su11Batch(*(np.concatenate(x) for x in zip(*parts)))
+
+
+def batch_power(P: Su11Batch, k: int) -> Su11Batch:
+    """k-th powers, k >= 1."""
+    # plain repeated multiplication for small powers: squaring can
+    # amplify rounding error through ill-conditioned elliptic factors
+    if k <= 8:
+        out = P
+        for _ in range(k - 1):
+            out = batch_mul(P, out)
+        return out
+    out = None
+    base = P
+    while k:
+        if k & 1:
+            out = base if out is None else batch_mul(base, out)
+        k >>= 1
+        if k:
+            base = batch_mul(base, base)
+    return out
+
+
+def batch_concat(groups: Iterable[tuple[Su11Batch, int]]) -> Su11Batch:
+    """Product of the powers P^k of (P, k) groups, the first group
+    rightmost; groups are consumed one at a time."""
+    M = None
+    for P, k in groups:
+        P = batch_power(P, k)
+        M = P if M is None else batch_mul(P, M)
+    return M
+
+
+def batch_trace(P: Su11Batch, points: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(trace, logscale): the true trace is trace * exp(logscale).
+
+    Raises NonRealTrace where the determinant defect of a product puts
+    the estimated trace error | |a|^2 - |b|^2 - exp(-2 logscale) | / (2|a|)
+    above DEFECT_TOL * max(1, |trace|); points labels the batch entries
+    in the message.
+    """
+    absa = np.abs(P.a)
+    trace = 2.0 * P.a.real
+    err = np.abs(absa * absa - np.abs(P.b) ** 2
+                 - np.exp(-2.0 * P.logscale)) / (2.0 * absa)
+    bad = ~(err <= DEFECT_TOL * np.maximum(1.0, np.abs(trace)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonRealTrace(
+            f"trace {trace[i]:.6e} (scaled by exp({P.logscale[i]:.6g})) at "
+            f"{points[i]!r} has estimated error {err[i]:.3e} from the "
+            f"determinant defect")
+    return trace, P.logscale
+
+
+def saturated(trace: np.ndarray, logscale: np.ndarray) -> np.ndarray:
+    """True traces, saturated near exp(LOG_SATURATE)."""
+    return trace * np.exp(np.minimum(logscale, LOG_SATURATE))
+
+
+def log_spectral_radius(trace: np.ndarray, logscale: np.ndarray) -> np.ndarray:
+    """log of the larger eigenvalue modulus; zero where |trace| <= 2."""
+    absD_log = np.log(np.maximum(np.abs(trace), 1e-300)) + logscale
+    out = np.zeros(trace.size)
+    big = absD_log > math.log(1e15)
+    mid = ~big & (absD_log > math.log(2.0) - 1e-12)
+    if mid.any():
+        D = np.abs(trace[mid]) * np.exp(logscale[mid])
+        D = np.maximum(D, 2.0)
+        out[np.flatnonzero(mid)] = np.log((D + np.sqrt(D * D - 4.0)) / 2.0)
+    if big.any():
+        out[np.flatnonzero(big)] = absD_log[big]
+    return np.maximum(out, 0.0)
 
 
 # ---------------------------------------------------------------------------

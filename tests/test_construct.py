@@ -156,3 +156,18 @@ def test_reports_serialize():
     assert doc["kind"] == "dirac"
     assert doc["N"] == 9
     assert isinstance(doc["cover"][0][0], list)
+
+
+def test_resolvent_cover_beyond_sixty_members():
+    # this window-2 cover needs 61 members; the cap only guards against
+    # non-termination
+    members = construct.resolvent_cover(FREE, 2.0, 0.3, 2094412827)
+    assert len(members) == 61
+    assert construct.cover_kappa(members, 2.0) > 0.0
+
+
+def test_cmv_cover_rejects_partner_outside_group():
+    # a sampled partner here fails the group check in the word search
+    members = construct.cmv_resolvent_cover(
+        cmv.VerblunskyCycle((0.3,)), 2.5, 209)
+    assert len(members) == 5
