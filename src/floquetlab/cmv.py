@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +49,13 @@ class VerblunskyCycle:
     @property
     def q(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def rows(self) -> list[list[float]]:
+        """[Re value, Im value] per coefficient, the rows of configs and
+        reports; built once, so every report of this cycle shares them:
+        read-only."""
+        return [[v.real, v.imag] for v in self.values]
 
     @property
     def sup_abs(self) -> float:
@@ -103,12 +111,11 @@ def _szego_product(alpha: VerblunskyCycle, half: np.ndarray) -> su11.Su11Batch:
     r = 1.0 / np.sqrt(1.0 - np.abs(values) ** 2)
     rb = -r * values.conj()
     half_conj = half.conj()
-    log_growth = np.log(r * (1.0 + np.abs(values))).ravel()
 
     def steps(lo, hi):
         return r * half[lo:hi], rb * half_conj[lo:hi]
 
-    return su11.batch_product(steps, half.size, log_growth)
+    return su11.batch_product(steps, alpha.q, half.size)
 
 
 def _angles(thetas) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -236,6 +235,9 @@ def _open_gap_dirac(phi_orig, phi0, lam, eps, rng, budget, depth, pre):
 
     # Case 2: elliptic monodromy; search for a noncommuting partner.
     M0 = dirac.monodromy(phi0p, lam)
+    # the base must pass the group check; a partner that fails it is a
+    # rejected sample
+    su11.classify(M0)
     single_ok = (budget.word.admissible_lengths is None
                  or 1 in budget.word.admissible_lengths)
     for trial in range(budget.max_samples):
@@ -472,15 +474,13 @@ class ConstructionReport:
         return len(self.cover)
 
     def to_json_dict(self) -> dict:
-        """JSON document of the report; reports of one cover share its
-        rows, so treat the "cover" entry as read-only."""
         if self.kind == "dirac":
             spectrum = [list(iv) for iv in self.spectrum.intervals]
         else:
             spectrum = [list(arc) for arc in self.spectrum.arcs]
         return {
             "kind": self.kind,
-            "cover": _cover_rows(self.kind, self.cover),
+            "cover": [mem.rows for mem in self.cover],
             "kappa": self.kappa,
             "N": self.n_value,
             "N_hat": self.n_hat,
@@ -495,20 +495,6 @@ class ConstructionReport:
             "seed": self.seed,
             "fitted_rate": self.fitted_rate,
         }
-
-
-@lru_cache(maxsize=1)
-def _cover_rows(kind: str, cover: tuple) -> list:
-    # the reports of one thin run, one per N, share one cover: building
-    # its rows once keeps one copy for all of them, and the members a
-    # padded cover repeats share their rows as well
-    rows: dict[int, list] = {}
-    for mem in cover:
-        if id(mem) not in rows:
-            rows[id(mem)] = ([[l, v.real, v.imag] for l, v in mem.segments]
-                             if kind == "dirac" else
-                             [[v.real, v.imag] for v in mem.values])
-    return [rows[id(mem)] for mem in cover]
 
 
 def feasibility_threshold(m: int, block_ratio: int) -> int:
@@ -659,6 +645,7 @@ def _open_gap_cmv(alpha_orig, alpha, theta, eps, rng, budget, depth, pre):
                              depth + 1, pre + (abs(w),))
 
     M0 = cmv.cmv_monodromy(alphap, theta)
+    su11.classify(M0)
     single_ok = (budget.word.admissible_lengths is None
                  or 1 in budget.word.admissible_lengths)
     for trial in range(budget.max_samples):

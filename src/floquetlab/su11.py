@@ -229,9 +229,6 @@ def gordon_lower_bounds(M, v) -> tuple[float, float]:
 RESCALE_AT = 1e150
 # Steps x points of one chunk of a step product: its arrays stay in cache.
 CHUNK = 1 << 13
-# Bound on |a| + |b| of a step product below which its partial products
-# need no rescaling.
-GROWTH_LIMIT = 1e100
 # Saturate reconstructed traces at exp(300) ~ 2e130.
 LOG_SATURATE = 300.0
 # Largest estimated trace error, relative to max(1, |trace|), accepted
@@ -268,13 +265,12 @@ def batch_mul(P: Su11Batch, Q: Su11Batch) -> Su11Batch:
     return out
 
 
-def _pairwise_product(a: np.ndarray, b: np.ndarray, rescale: bool) -> Su11Batch:
-    # rows are steps in time order; each level multiplies neighbouring
-    # rows, an odd last row waits for the next level
+def _pairwise_product(a: np.ndarray, b: np.ndarray) -> Su11Batch:
+    # rows are steps in time order; each level rescales the rows and
+    # multiplies neighbours, an odd last row waits for the next level
     P = Su11Batch(a, b, np.zeros(a.shape))
     while P.a.shape[0] > 1:
-        if rescale:
-            _rescale(P)
+        _rescale(P)
         m = P.a.shape[0] // 2 * 2
         Q = _mul_unscaled(Su11Batch(*(x[1:m:2] for x in P)),
                           Su11Batch(*(x[0:m:2] for x in P)))
@@ -286,20 +282,16 @@ def _pairwise_product(a: np.ndarray, b: np.ndarray, rescale: bool) -> Su11Batch:
     return P
 
 
-def batch_product(steps, n: int, log_growth: np.ndarray) -> Su11Batch:
-    """Ordered products of steps at n points, the first step rightmost.
+def batch_product(steps, nsteps: int, n: int) -> Su11Batch:
+    """Ordered products of nsteps steps at n points, the first step rightmost.
 
     steps(lo, hi) returns the arrays a and b, shape (nsteps, hi - lo), of
-    the steps at points lo:hi, and log_growth[k] bounds log(|a| + |b|)
-    of step k over the points.  The points are taken in chunks of at
-    most CHUNK steps x points; a chunk is reduced by products of
-    neighbours, level by level.  When the bounds sum to less than
-    log(GROWTH_LIMIT), no partial product can overflow and only the
-    finished products are rescaled.
+    the steps at points lo:hi.  The points are taken in chunks of at
+    most CHUNK steps x points (at least one point); a chunk is reduced by
+    products of neighbours, level by level.
     """
-    width = max(1, CHUNK // len(log_growth))
-    rescale = not np.sum(log_growth) <= math.log(GROWTH_LIMIT)
-    parts = [_pairwise_product(*steps(lo, min(lo + width, n)), rescale)
+    width = max(1, CHUNK // nsteps)
+    parts = [_pairwise_product(*steps(lo, min(lo + width, n)))
              for lo in range(0, max(n, 1), width)]
     if len(parts) == 1:
         return parts[0]

@@ -97,6 +97,22 @@ def test_lyapunov_profile_matches_scalar():
         assert abs(value - dirac.lyapunov(phi, lam)) < 1e-9
 
 
+def test_long_blocks_over_several_chunks():
+    # 100 steps at 600 points: the points fall into several chunks
+    assert 600 > 2 * (su11.CHUNK // 100)
+    rng = np.random.default_rng(7)
+    lengths = rng.uniform(0.05, 0.2, size=100)
+    values = [0.5 * cmath.exp(2j * math.pi * rng.uniform()) for _ in range(100)]
+    phi = dirac.PiecewisePotential.from_values(lengths, values)
+    lams = np.linspace(-3.0, 3.0, 600)
+    D = dirac.discriminant_profile(phi, lams)
+    assert_traces_match(D[::23], [(phi, 1)], dirac.monodromy, lams[::23])
+    alpha = random_cycle(rng, 100, sup=0.3)
+    thetas = np.linspace(0.0, TWO_PI, 600, endpoint=False)
+    D = cmv.cmv_discriminant_profile(alpha, thetas)
+    assert_traces_match(D[::23], [(alpha, 1)], cmv.cmv_monodromy, thetas[::23])
+
+
 def test_long_block_rescales_partial_products():
     # |a| grows like exp(960) over the period at lambda = 0: unscaled
     # partial products of the pairwise reduction would overflow
@@ -129,7 +145,7 @@ def test_wrong_szego_step_raises(monkeypatch):
         r = 1.0 / (1.0 - np.abs(values) ** 2)
         return su11.batch_product(
             lambda lo, hi: (r * half[lo:hi], -r * values.conj() * half[lo:hi].conj()),
-            half.size, np.full(alpha.q, np.inf))
+            alpha.q, half.size)
 
     monkeypatch.setattr(cmv, "_szego_product", unnormalised)
     with pytest.raises(NonRealTrace):
