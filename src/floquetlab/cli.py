@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import analysis, cmv, construct, dirac
+from . import analysis, construct, dirac
 from .errors import (FloquetLabError, NumericalAssertionError, SearchFailure)
 
 EXIT_OK = 0
@@ -46,26 +46,17 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _potential_from(cfg: dict) -> dirac.PiecewisePotential:
-    rows = cfg.get("potential")
+def _data_from(cfg: dict, kind: str):
+    """The operator data of the config: a potential or a Verblunsky cycle."""
+    fam = construct.FAMILIES[kind]
+    rows = cfg.get(fam.config_key)
     if not rows:
-        raise ConfigError("config needs 'potential': [[length, re, im], ...]")
+        raise ConfigError(f"config needs '{fam.config_key}': {fam.row_hint}")
     try:
-        segs = [(float(r[0]), complex(float(r[1]), float(r[2]))) for r in rows]
+        entries = tuple(fam.parse_row(r) for r in rows)
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad potential rows: {exc}") from exc
-    return dirac.PiecewisePotential(segments=tuple(segs))
-
-
-def _cycle_from(cfg: dict) -> cmv.VerblunskyCycle:
-    rows = cfg.get("verblunsky")
-    if not rows:
-        raise ConfigError("config needs 'verblunsky': [[re, im], ...]")
-    try:
-        vals = [complex(float(r[0]), float(r[1])) for r in rows]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad verblunsky rows: {exc}") from exc
-    return cmv.VerblunskyCycle(values=tuple(vals))
+        raise ConfigError(f"bad {fam.config_key} rows: {exc}") from exc
+    return fam.make(entries)
 
 
 def _kind(cfg: dict) -> str:
@@ -120,16 +111,10 @@ def cmd_bands(cfg: dict, args) -> int:
     kind = _kind(cfg)
     tol = _tol(cfg)
     out = _out_dir(args)
-    if kind == "dirac":
-        phi = _potential_from(cfg)
-        R = float(cfg.get("window", 3.0))
-        bandset = dirac.bands(phi, R, tol,
-                              oversample=float(cfg.get("oversample", 1.0)))
-        intervals = bandset.intervals
-    else:
-        alpha = _cycle_from(cfg)
-        arcset = cmv.cmv_bands(alpha, tol)
-        intervals = arcset.arcs
+    fam = construct.FAMILIES[kind]
+    intervals = fam.intervals(fam.bands(
+        _data_from(cfg, kind), float(cfg.get("window", 3.0)), tol,
+        float(cfg.get("oversample", 1.0))))
     rows = [[i, a, b, b - a] for i, (a, b) in enumerate(intervals)]
     summary = {
         "kind": kind,
@@ -145,7 +130,7 @@ def cmd_bands(cfg: dict, args) -> int:
 
 
 def cmd_dos(cfg: dict, args) -> int:
-    phi = _potential_from(cfg)
+    phi = _data_from(cfg, "dirac")
     tol = _tol(cfg)
     out = _out_dir(args)
     R = float(cfg.get("window", 3.0))
@@ -176,20 +161,11 @@ def cmd_lyapunov(cfg: dict, args) -> int:
     kind = _kind(cfg)
     out = _out_dir(args)
     n = int(cfg.get("grid_points", 512))
-    rows = []
-    if kind == "dirac":
-        phi = _potential_from(cfg)
-        R = float(cfg.get("window", 3.0))
-        import numpy as np
-        grid = np.linspace(-R, R, n)
-        vals = dirac.lyapunov_profile(phi, grid)
-    else:
-        alpha = _cycle_from(cfg)
-        import numpy as np
-        grid = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        vals = cmv.cmv_lyapunov_profile(alpha, grid)
-    rows = [[float(x), float(v)] for x, v in zip(grid, vals)]
-    _write_text(_out_dir(args) / "lyapunov.csv",
+    fam = construct.FAMILIES[kind]
+    data = _data_from(cfg, kind)
+    grid = fam.grid(float(cfg.get("window", 3.0)), n)
+    rows = [[float(x), float(v)] for x, v in zip(grid, fam.lyapunov(data, grid))]
+    _write_text(out / "lyapunov.csv",
                 _csv_text(["point", "lyapunov"], rows), "csv", args.format)
     _write_text(out / "lyapunov.json",
                 _json_text({"kind": kind, "values": rows}), "json", args.format)
@@ -197,22 +173,14 @@ def cmd_lyapunov(cfg: dict, args) -> int:
 
 
 def _certificate_dict(cert: construct.GapCertificate) -> dict:
-    if cert.kind == "dirac":
-        base = [[l, v.real, v.imag] for l, v in cert.base.segments]
-        partner = ([[l, v.real, v.imag] for l, v in cert.partner.segments]
-                   if cert.partner is not None else None)
-    else:
-        base = [[v.real, v.imag] for v in cert.base.values]
-        partner = ([[v.real, v.imag] for v in cert.partner.values]
-                   if cert.partner is not None else None)
     return {
         "kind": cert.kind,
         "target": cert.target,
         "case": cert.case,
         "word": cert.word_label(),
         "word_runs": [list(r) for r in cert.word.runs] if cert.word else None,
-        "base": base,
-        "partner": partner,
+        "base": cert.base.rows,
+        "partner": cert.partner.rows if cert.partner is not None else None,
         "result_period": cert.result_period,
         "achieved_trace": cert.achieved_trace,
         "distance": cert.distance,
@@ -229,16 +197,9 @@ def cmd_open_gap(cfg: dict, args) -> int:
     target = float(gap_cfg["target"]) if "target" in gap_cfg else None
     if target is None:
         raise ConfigError("open_gap config needs 'target'")
-    if kind == "dirac":
-        phi = _potential_from(cfg)
-        phit, cert = construct.open_gap(phi, target, eps, seed)
-        checks = construct.verify_gap_certificate(phit, cert)
-    else:
-        alpha = _cycle_from(cfg)
-        tilde, cert = construct.cmv_open_gap(alpha, target, eps, seed)
-        checks = construct.verify_gap_certificate(tilde, cert)
+    result, cert = construct.open_gap(_data_from(cfg, kind), target, eps, seed)
     doc = _certificate_dict(cert)
-    doc["verification"] = checks
+    doc["verification"] = construct.verify_gap_certificate(result, cert)
     _write_text(out / "gap_certificate.json", _json_text(doc), "json", args.format)
     if args.format in ("csv", "both"):
         rows = [[cert.target, cert.case, cert.achieved_trace, cert.distance,
@@ -259,35 +220,22 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
     summary_rows = []
     reports = []
     partial_error: Optional[SearchFailure] = None
+    period = construct.FAMILIES[kind].period
 
     try:
-        if kind == "dirac":
-            phi = _potential_from(cfg)
-            R = float(cfg.get("window", 2.0))
-            cover = construct.resolvent_cover(phi, R, eps, seed)
-            m, ratio = len(cover), int(round(cover[0].period / phi.period))
-            n0 = construct.feasibility_threshold(m, ratio)
-            if not n_values:
-                n_values = [n0, n0 + m * ratio, n0 + 2 * m * ratio]
-            for N in n_values:
-                _, report = construct.thin_spectrum(
-                    phi, R, eps, int(N), seed, tol=tol, cover=cover)
-                reports.append(report)
-                summary_rows.append([int(N), report.final_period, report.measure,
-                                     math.log(max(report.measure, 1e-300))])
-        else:
-            alpha = _cycle_from(cfg)
-            cover = construct.cmv_resolvent_cover(alpha, eps, seed)
-            m, ratio = len(cover), cover[0].q // alpha.q
-            n0 = construct.feasibility_threshold(m, ratio)
-            if not n_values:
-                n_values = [n0, n0 + m * ratio, n0 + 2 * m * ratio]
-            for N in n_values:
-                _, report = construct.cmv_thin_spectrum(
-                    alpha, eps, int(N), seed, tol=tol, cover=cover)
-                reports.append(report)
-                summary_rows.append([int(N), report.final_period, report.measure,
-                                     math.log(max(report.measure, 1e-300))])
+        data = _data_from(cfg, kind)
+        R = float(cfg.get("window", 2.0))
+        cover = construct.resolvent_cover(data, R, eps, seed)
+        m, ratio = len(cover), int(round(period(cover[0]) / period(data)))
+        n0 = construct.feasibility_threshold(m, ratio)
+        if not n_values:
+            n_values = [n0, n0 + m * ratio, n0 + 2 * m * ratio]
+        for N in n_values:
+            _, report = construct.thin_spectrum(
+                data, R, eps, int(N), seed, tol=tol, cover=cover)
+            reports.append(report)
+            summary_rows.append([int(N), report.final_period, report.measure,
+                                 math.log(max(report.measure, 1e-300))])
     except SearchFailure as exc:
         partial_error = exc
 
@@ -335,9 +283,7 @@ def cmd_cmv_thin(cfg: dict, args) -> int:
 
 
 def cmd_cmv_bands(cfg: dict, args) -> int:
-    cfg = dict(cfg)
-    cfg["kind"] = "cmv"
-    return cmd_bands(cfg, args)
+    return cmd_bands({**cfg, "kind": "cmv"}, args)
 
 
 def cmd_dimension(cfg: dict, args) -> int:
@@ -345,7 +291,7 @@ def cmd_dimension(cfg: dict, args) -> int:
     seed = _require_seed(cfg, args)
     tol = _tol(cfg)
     dcfg = cfg.get("dimension", {})
-    phi = _potential_from(cfg)
+    phi = _data_from(cfg, "dirac")
     eps = float(dcfg.get("epsilon", 0.4))
     n_stages = int(dcfg.get("n_stages", 2))
     window = float(dcfg.get("window", 0.5))
@@ -379,11 +325,7 @@ def cmd_gordon(cfg: dict, args) -> int:
     if q is None:
         raise ConfigError("gordon config needs 'q'")
     C = float(gcfg.get("c", 2.0))
-    if kind == "dirac":
-        data = _potential_from(cfg)
-    else:
-        data = _cycle_from(cfg)
-    value = analysis.gordon_defect(data, q, C)
+    value = analysis.gordon_defect(_data_from(cfg, kind), q, C)
     doc = {"kind": kind, "q": q, "c": C, "defect": value}
     _write_text(out / "gordon.json", _json_text(doc), "json", args.format)
     _write_text(out / "gordon.csv",

@@ -10,6 +10,11 @@ window by finitely many such gapped operators and repeating each one
 many times inside a long period produces spectra of exponentially small
 measure in the window.
 
+The argument is the same for Dirac potentials and Verblunsky cycles, so
+it is written once over a ``Family`` record that holds only what differs
+between the two (``DIRAC`` and ``CMV``); the family is picked from the
+type of the data.
+
 Everything is deterministic given (seed, budget): samples are drawn in a
 fixed order and the word search accepts the first word in a fixed
 canonical order.
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +34,8 @@ from .errors import (BudgetExhausted, CommutingInput, NotElliptic,
                      WordNotFound)
 
 TWO_PI = 2.0 * math.pi
+
+Data = Union[dirac.PiecewisePotential, cmv.VerblunskyCycle]
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,6 @@ class GapSearchBudget:
     elliptic_margin: float = 0.01
     commutator_min: float = 1e-3
     resonant_proposals: bool = False
-    side_targets: tuple[float, ...] = ()
     word: su11.SearchBudget = field(default_factory=su11.SearchBudget)
 
 
@@ -71,8 +77,8 @@ class GapCertificate:
     target: float                # energy lambda or angle theta
     case: int
     word: Optional[su11.SemigroupWord]
-    base: Union[dirac.PiecewisePotential, cmv.VerblunskyCycle]
-    partner: Optional[Union[dirac.PiecewisePotential, cmv.VerblunskyCycle]]
+    base: Data
+    partner: Optional[Data]
     result_period: float
     achieved_trace: float
     distance: float              # sup-norm (dirac) or Poincare (cmv) move
@@ -83,35 +89,48 @@ class GapCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Dirac gap opening
+# Operator families
 # ---------------------------------------------------------------------------
 
-def _prepare(phi: dirac.PiecewisePotential) -> dirac.PiecewisePotential:
-    # Perturbations preserve segment 0, so single-segment data is split
-    # into two equal halves first (same operator, richer representation).
-    return phi.with_split(0) if len(phi.segments) == 1 else phi
+@dataclass(frozen=True)
+class Family:
+    """What differs between the Dirac and the CMV construction.
+
+    Entries that call a traced library function look it up at call time
+    (``lambda phi, lam: dirac.monodromy(phi, lam)``), so a rebinding of
+    the module attribute is seen.  R is the half-width of the energy
+    window; the CMV entries ignore it and take the whole circle.
+    """
+
+    kind: str                                # "dirac" | "cmv"
+    target_name: str                         # labels used in messages
+    point_name: str
+    period_symbol: str
+    discriminant_name: str
+    config_key: str                          # config rows of the data
+    row_hint: str
+    parse_row: Callable[[Sequence], Any]     # config row -> entry
+    make: Callable[[tuple], Data]            # entries -> data
+    entries: Callable[[Data], tuple]
+    period: Callable[[Data], float]
+    prepare: Callable[[Data], Data]
+    disk_radius: Callable[[float], float]    # Euclidean radius of a move
+    move: Callable[[Any, complex], Any]      # entry moved by a disk offset
+    resonant: Callable                       # (data, rng, radius, target)
+    monodromy: Callable
+    discriminant: Callable
+    lyapunov: Callable                       # profile over a grid
+    concat: Callable
+    distance: Callable                       # between equal-length data
+    grid: Callable                           # (R, n) -> cover grid
+    bands: Callable                          # (data, R, tol, oversample)
+    bands_of_groups: Callable                # (groups, R, tol)
+    intervals: Callable                      # spectrum -> its intervals
 
 
-def _disk_offset(rng: np.random.Generator, radius: float) -> complex:
-    u = rng.uniform()
-    v = rng.uniform()
-    return complex(radius * math.sqrt(u) * np.exp(2j * math.pi * v))
-
-
-def _perturb_potential(phi: dirac.PiecewisePotential, rng: np.random.Generator,
-                       radius: float) -> dirac.PiecewisePotential:
-    segs = list(phi.segments)
-    for k in range(1, len(segs)):
-        length, value = segs[k]
-        segs[k] = (length, value + _disk_offset(rng, radius))
-    return dirac.PiecewisePotential(segments=tuple(segs))
-
-
-def _perturb_potential_resonant(phi: dirac.PiecewisePotential,
-                                rng: np.random.Generator, radius: float,
-                                lam: float,
-                                side_targets: tuple[float, ...] = (),
-                                ) -> dirac.PiecewisePotential:
+def _resonant_potential(phi: dirac.PiecewisePotential,
+                        rng: np.random.Generator, radius: float,
+                        lam: float) -> dirac.PiecewisePotential:
     """Fourier-mode proposal: off-diagonal data at frequency 2 lam
     couples the two free components at energy lam, so a mode near the
     index closest to |lam| T / pi opens a gap there directly; weaker
@@ -126,40 +145,28 @@ def _perturb_potential_resonant(phi: dirac.PiecewisePotential,
     direction = -1.0 if lam >= 0 else 1.0
     nu_star = round(abs(lam) * T / math.pi)
     nu_max = max(3, nu_star + 2, round(1.4 * abs(lam) * T / math.pi))
-    if side_targets:
-        # primary mode plus modes at requested extra energies, so one
-        # member conquers several uncovered cells at once
-        share = radius / (1.0 + len(side_targets))
+    nmodes = int(rng.choice([1, 2, 4]))
+    if nmodes == 1:
+        # full-strength single mode: the opened gap reaches about the
+        # mode amplitude to either side of its lattice crossing
         modes = [(nu_star + int(rng.integers(-1, 2)),
-                  share * (0.7 + 0.3 * rng.uniform()),
+                  radius * (0.7 + 0.3 * rng.uniform()),
                   rng.uniform(0.0, TWO_PI))]
-        for side in side_targets:
-            nu_side = round(abs(side) * T / math.pi) + int(rng.integers(-1, 2))
-            modes.append((nu_side, share * (0.7 + 0.3 * rng.uniform()),
-                          rng.uniform(0.0, TWO_PI)))
+    elif nmodes == 2:
+        modes = [(nu_star + int(rng.integers(-1, 2)),
+                  (radius / 2.0) * (0.7 + 0.3 * rng.uniform()),
+                  rng.uniform(0.0, TWO_PI)),
+                 (int(rng.integers(1, nu_max + 1)),
+                  (radius / 2.0) * rng.uniform(),
+                  rng.uniform(0.0, TWO_PI))]
     else:
-        nmodes = int(rng.choice([1, 2, 4]))
-        if nmodes == 1:
-            # full-strength single mode: the opened gap reaches about the
-            # mode amplitude to either side of its lattice crossing
-            modes = [(nu_star + int(rng.integers(-1, 2)),
-                      radius * (0.7 + 0.3 * rng.uniform()),
-                      rng.uniform(0.0, TWO_PI))]
-        elif nmodes == 2:
-            modes = [(nu_star + int(rng.integers(-1, 2)),
-                      (radius / 2.0) * (0.7 + 0.3 * rng.uniform()),
-                      rng.uniform(0.0, TWO_PI)),
-                     (int(rng.integers(1, nu_max + 1)),
-                      (radius / 2.0) * rng.uniform(),
-                      rng.uniform(0.0, TWO_PI))]
-        else:
-            modes = [(nu_star + int(rng.integers(-1, 2)),
-                      (radius / 2.0) * (0.5 + 0.5 * rng.uniform()),
-                      rng.uniform(0.0, TWO_PI))]
-            for _ in range(3):
-                modes.append((int(rng.integers(1, nu_max + 1)),
-                              (radius / 6.0) * rng.uniform(),
-                              rng.uniform(0.0, TWO_PI)))
+        modes = [(nu_star + int(rng.integers(-1, 2)),
+                  (radius / 2.0) * (0.5 + 0.5 * rng.uniform()),
+                  rng.uniform(0.0, TWO_PI))]
+        for _ in range(3):
+            modes.append((int(rng.integers(1, nu_max + 1)),
+                          (radius / 6.0) * rng.uniform(),
+                          rng.uniform(0.0, TWO_PI)))
     # the T/8 cap keeps the preserved first piece short, so the mode
     # retains nearly full strength even on two-block lifts
     h_target = min(math.pi / (2.0 * abs(lam) + 2.0), T / 8.0)
@@ -183,70 +190,172 @@ def _perturb_potential_resonant(phi: dirac.PiecewisePotential,
     return dirac.PiecewisePotential(segments=tuple(segs))
 
 
-def _concat_word_potential(block0: dirac.PiecewisePotential,
-                           block1: dirac.PiecewisePotential,
-                           word: su11.SemigroupWord) -> dirac.PiecewisePotential:
-    blocks = (block0, block1)
-    return dirac.concatenate(blocks[letter].repeated(count)
-                             for letter, count in word.runs)
+def _resonant_cycle(alpha: cmv.VerblunskyCycle, rng: np.random.Generator,
+                    radius: float, theta: float) -> cmv.VerblunskyCycle:
+    # Fourier-mode proposal matched to the target angle: coefficient
+    # modes near index q theta / (2 pi) open a gap at exp(i theta).
+    q = alpha.q
+    nu = round(theta * q / TWO_PI) + int(rng.integers(-1, 2))
+    phase = rng.uniform(0.0, TWO_PI)
+    amp = math.tanh(radius) * (0.5 + 0.5 * rng.uniform())
+    vals = list(alpha.values)
+    for k in range(1, q):
+        w = amp * np.exp(1j * (phase - TWO_PI * nu * k / q))
+        vals[k] = cmv.poincare_push(vals[k], w)
+    return cmv.VerblunskyCycle(values=tuple(vals))
 
 
-def open_gap(phi0: dirac.PiecewisePotential, lam: float, eps: float, seed: int,
+DIRAC = Family(
+    kind="dirac", target_name="lambda", point_name="energy",
+    period_symbol="T", discriminant_name="discriminant",
+    config_key="potential", row_hint="[[length, re, im], ...]",
+    parse_row=lambda r: (float(r[0]), complex(float(r[1]), float(r[2]))),
+    make=lambda segs: dirac.PiecewisePotential(segments=segs),
+    entries=lambda phi: phi.segments,
+    period=lambda phi: phi.period,
+    # Perturbations preserve segment 0, so single-segment data is split
+    # into two equal halves first (same operator, richer representation).
+    prepare=lambda phi: phi.with_split(0) if len(phi.segments) == 1 else phi,
+    disk_radius=lambda r: r,
+    move=lambda seg, w: (seg[0], seg[1] + w),
+    resonant=_resonant_potential,
+    monodromy=lambda phi, lam: dirac.monodromy(phi, lam),
+    discriminant=lambda phi, lam: dirac.discriminant(phi, lam),
+    lyapunov=lambda phi, lams: dirac.lyapunov_profile(phi, lams),
+    concat=dirac.concatenate,
+    distance=dirac.sup_distance,
+    grid=lambda R, n: np.linspace(-R, R, n),
+    bands=lambda phi, R, tol, over: dirac.bands(phi, R, tol, oversample=over),
+    bands_of_groups=lambda g, R, tol: dirac.bands_of_groups(g, R, tol),
+    intervals=lambda spectrum: spectrum.intervals,
+)
+
+CMV = Family(
+    kind="cmv", target_name="theta", point_name="angle", period_symbol="q",
+    discriminant_name="CMV discriminant",
+    config_key="verblunsky", row_hint="[[re, im], ...]",
+    parse_row=lambda r: complex(float(r[0]), float(r[1])),
+    make=lambda vals: cmv.VerblunskyCycle(values=vals),
+    entries=lambda alpha: alpha.values,
+    period=lambda alpha: alpha.q,
+    # Entry 0 is preserved under perturbation, so a 1-cycle is doubled
+    # first (same operator, richer representation).
+    prepare=lambda alpha: alpha.repeated(2) if alpha.q == 1 else alpha,
+    # geodesic offsets: Euclidean radius tanh(r) maps to hyperbolic radius r
+    disk_radius=math.tanh,
+    move=cmv.poincare_push,
+    resonant=_resonant_cycle,
+    monodromy=lambda alpha, theta: cmv.cmv_monodromy(alpha, theta),
+    discriminant=lambda alpha, theta: cmv.cmv_discriminant(alpha, theta),
+    lyapunov=lambda alpha, thetas: cmv.cmv_lyapunov_profile(alpha, thetas),
+    concat=cmv.concatenate_cycles,
+    distance=cmv.poincare_delta,
+    grid=lambda R, n: np.linspace(0.0, TWO_PI, n, endpoint=False),
+    bands=lambda alpha, R, tol, over: cmv.cmv_bands(alpha, tol),
+    bands_of_groups=lambda g, R, tol: cmv.cmv_bands_of_groups(g, tol),
+    intervals=lambda spectrum: spectrum.arcs,
+)
+
+FAMILIES = {fam.kind: fam for fam in (DIRAC, CMV)}
+
+
+def _family(data: Data) -> Family:
+    return DIRAC if isinstance(data, dirac.PiecewisePotential) else CMV
+
+
+# ---------------------------------------------------------------------------
+# Gap opening
+# ---------------------------------------------------------------------------
+
+def _disk_offset(rng: np.random.Generator, radius: float) -> complex:
+    u = rng.uniform()
+    v = rng.uniform()
+    return complex(radius * math.sqrt(u) * np.exp(2j * math.pi * v))
+
+
+def _moved(fam: Family, data: Data, moves) -> Data:
+    """data with entry k moved by the disk offset w for each (k, w)."""
+    entries = list(fam.entries(data))
+    for k, w in moves:
+        entries[k] = fam.move(entries[k], w)
+    return fam.make(tuple(entries))
+
+
+def _distance(data: Data, moved: Data) -> float:
+    """Distance of moved from data repeated to its period: sup norm for
+    Dirac data, Poincare metric for Verblunsky cycles."""
+    fam = _family(data)
+    reps = int(round(fam.period(moved) / fam.period(data)))
+    return fam.distance(data.repeated(reps) if reps > 1 else data, moved)
+
+
+def open_gap(data: Data, target: float, eps: float, seed: int,
              budget: Optional[GapSearchBudget] = None,
-             ) -> tuple[dirac.PiecewisePotential, GapCertificate]:
-    """Perturb phi0 by less than eps in sup norm so lam leaves the spectrum.
+             ) -> tuple[Data, GapCertificate]:
+    """Perturb data by less than eps so the target leaves the spectrum.
 
-    Case 1 (|D| > 2): phi0 is returned unchanged.  Case 3 (|D| within the
-    elliptic margin of 2): one segment value is nudged by a seeded random
-    offset below eps/2 and the search retries with the remaining budget.
-    Case 2 (elliptic): seeded random perturbations are sampled until both
-    monodromies are elliptic with a noncommuting pair, a hyperbolic word
-    is found, and the corresponding block concatenation verifies
-    |D(lam)| > 2.  Raises BudgetExhausted when sampling runs out; retry
-    with another seed.
+    Dirac data moves in sup norm and the target is an energy; a
+    Verblunsky cycle moves in the Poincare metric and the target is an
+    angle.  Case 1 (|D| > 2): the data is returned unchanged.  Case 3
+    (|D| within the elliptic margin of 2): one entry is nudged by a
+    seeded random offset below eps/2 and the search retries with the
+    remaining budget.  Case 2 (elliptic): seeded random perturbations are
+    sampled until both monodromies are elliptic with a noncommuting pair,
+    a hyperbolic word is found, and the corresponding block
+    concatenation verifies |D(target)| > 2.  Raises BudgetExhausted when
+    sampling runs out; retry with another seed.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     budget = budget or GapSearchBudget()
     rng = np.random.default_rng(seed)
-    return _open_gap_dirac(phi0, phi0, lam, eps, rng, budget, 0, ())
+    return _open_gap(_family(data), data, data, target, eps, rng, budget,
+                     0, ())
 
 
-def _open_gap_dirac(phi_orig, phi0, lam, eps, rng, budget, depth, pre):
-    D0 = dirac.discriminant(phi0, lam)
+cmv_open_gap = open_gap
+
+
+def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
+    D0 = fam.discriminant(data, target)
     if abs(D0) > 2.0 + su11.PARABOLIC_TOL:
-        phit = phi0
-        return phit, GapCertificate(
-            kind="dirac", target=lam, case=1, word=None, base=phi0,
-            partner=None, result_period=phit.period, achieved_trace=D0,
-            distance=_dirac_distance(phi_orig, phit), preperturbations=pre)
+        return data, GapCertificate(
+            kind=fam.kind, target=target, case=1, word=None, base=data,
+            partner=None, result_period=fam.period(data), achieved_trace=D0,
+            distance=_distance(orig, data), preperturbations=pre)
 
-    phi0p = _prepare(phi0)
-    if abs(D0) >= 2.0 - budget.elliptic_margin:
+    # Doubling a 1-cycle changes the discriminant (Chebyshev relation),
+    # so the case split looks at the prepared representation.
+    base = fam.prepare(data)
+    D = D0 if base is data else fam.discriminant(base, target)
+    if abs(D) >= 2.0 - budget.elliptic_margin:
         # Case 3: parabolic or too close to it for a stable word search.
         if depth >= budget.case3_retries:
             raise BudgetExhausted(
-                f"case-3 retries exhausted at lambda={lam}, |D|={abs(D0):.6f}")
-        k = 1 + int(rng.integers(len(phi0p.segments) - 1))
-        offset = _disk_offset(rng, eps / 2.0)
-        nudged = phi0p.with_value(k, phi0p.segments[k][1] + offset)
-        return _open_gap_dirac(phi_orig, nudged, lam, eps / 2.0, rng, budget,
-                               depth + 1, pre + (abs(offset),))
+                f"case-3 retries exhausted at {fam.target_name}={target}, "
+                f"|D|={abs(D):.6f}")
+        k = 1 + int(rng.integers(len(fam.entries(base)) - 1))
+        w = _disk_offset(rng, fam.disk_radius(eps / 2.0))
+        return _open_gap(fam, orig, _moved(fam, base, [(k, w)]), target,
+                         eps / 2.0, rng, budget, depth + 1, pre + (abs(w),))
 
     # Case 2: elliptic monodromy; search for a noncommuting partner.
-    M0 = dirac.monodromy(phi0p, lam)
+    M0 = fam.monodromy(base, target)
     # the base must pass the group check; a partner that fails it is a
     # rejected sample
     su11.classify(M0)
     single_ok = (budget.word.admissible_lengths is None
                  or 1 in budget.word.admissible_lengths)
+    n = len(fam.entries(base))
+    radius = fam.disk_radius(eps / 2.0)
     for trial in range(budget.max_samples):
         if budget.resonant_proposals and trial % 2 == 0:
-            phi1 = _perturb_potential_resonant(phi0p, rng, eps / 2.0, lam,
-                                               budget.side_targets)
+            partner = fam.resonant(base, rng, eps / 2.0, target)
         else:
-            phi1 = _perturb_potential(phi0p, rng, eps / 2.0)
-        M1 = dirac.monodromy(phi1, lam)
+            # independent offsets on every entry but the preserved first
+            partner = _moved(fam, base, [(k, _disk_offset(rng, radius))
+                                         for k in range(1, n)])
+        M1 = fam.monodromy(partner, target)
         try:
             t1 = su11.real_trace(M1)
         except NotInGroup:
@@ -263,44 +372,36 @@ def _open_gap_dirac(phi_orig, phi0, lam, eps, rng, budget, depth, pre):
                 word = su11.hyperbolic_in_semigroup(M0, M1, budget.word)
             except (WordNotFound, CommutingInput, NotElliptic, NotInGroup):
                 continue
-        phit = _concat_word_potential(phi0p, phi1, word)
-        Dt = dirac.discriminant(phit, lam)
+        blocks = (base, partner)
+        result = fam.concat(blocks[letter].repeated(count)
+                            for letter, count in word.runs)
+        Dt = fam.discriminant(result, target)
         if abs(Dt - word.trace) > 1e-8 * max(1.0, abs(Dt)):
             raise NumericalAssertionError(
                 f"word trace {word.trace} disagrees with concatenated "
-                f"discriminant {Dt}")
+                f"{fam.discriminant_name} {Dt}")
         if abs(Dt) <= 2.0:
             continue
-        return phit, GapCertificate(
-            kind="dirac", target=lam, case=2, word=word, base=phi0p,
-            partner=phi1, result_period=phit.period, achieved_trace=Dt,
-            distance=_dirac_distance(phi_orig, phit), preperturbations=pre)
+        return result, GapCertificate(
+            kind=fam.kind, target=target, case=2, word=word, base=base,
+            partner=partner, result_period=fam.period(result),
+            achieved_trace=Dt, distance=_distance(orig, result),
+            preperturbations=pre)
     raise BudgetExhausted(
-        f"no gap within {budget.max_samples} samples at lambda={lam}")
+        f"no gap within {budget.max_samples} samples at "
+        f"{fam.target_name}={target}")
 
 
-def _dirac_distance(phi: dirac.PiecewisePotential,
-                    phit: dirac.PiecewisePotential) -> float:
-    reps = int(round(phit.period / phi.period))
-    base = phi.repeated(reps) if reps > 1 else phi
-    return dirac.sup_distance(base, phit)
-
-
-def verify_gap_certificate(phit, cert: GapCertificate, tol: float = 1e-8) -> dict:
+def verify_gap_certificate(data: Data, cert: GapCertificate,
+                           tol: float = 1e-8) -> dict:
     """Independent re-verification of a certificate's claims."""
+    fam = _family(data)
     checks: dict[str, bool] = {}
-    if cert.kind == "dirac":
-        D = dirac.discriminant(phit, cert.target)
-    else:
-        D = cmv.cmv_discriminant(phit, cert.target)
+    D = fam.discriminant(data, cert.target)
     checks["gap_open"] = abs(D) > 2.0
     if cert.word is not None and cert.partner is not None:
-        if cert.kind == "dirac":
-            M0 = dirac.monodromy(cert.base, cert.target)
-            M1 = dirac.monodromy(cert.partner, cert.target)
-        else:
-            M0 = cmv.cmv_monodromy(cert.base, cert.target)
-            M1 = cmv.cmv_monodromy(cert.partner, cert.target)
+        M0 = fam.monodromy(cert.base, cert.target)
+        M1 = fam.monodromy(cert.partner, cert.target)
         product = cert.word.evaluate(M0, M1)
         checks["word_reproduces"] = (
             su11.max_entry_norm(product - cert.word.matrix) <= tol)
@@ -310,7 +411,7 @@ def verify_gap_certificate(phit, cert: GapCertificate, tol: float = 1e-8) -> dic
 
 
 # ---------------------------------------------------------------------------
-# Dirac resolvent cover
+# Resolvent cover
 # ---------------------------------------------------------------------------
 
 def _admissible_lengths(max_len: int, lift: int, current: int,
@@ -358,35 +459,53 @@ def _cover_budget(budget: Optional[GapSearchBudget],
                    resonant_proposals=True)
 
 
-def resolvent_cover(phi: dirac.PiecewisePotential, R: float, eps: float,
-                    seed: int, budget: Optional[GapSearchBudget] = None,
-                    options: Optional[CoverOptions] = None,
-                    ) -> list[dirac.PiecewisePotential]:
-    """Greedy gapped cover: members within eps of phi whose resolvent
-    sets jointly cover [-R, R].
+def resolvent_cover(data: Data, R: Optional[float], eps: float, seed: int,
+                    budget: Optional[GapSearchBudget] = None,
+                    options: Optional[CoverOptions] = None) -> list[Data]:
+    """Greedy gapped cover: members within eps of the data whose
+    resolvent sets jointly cover [-R, R] (Dirac) or the whole circle
+    (CMV; R is ignored).
 
-    Repeatedly opens a gap at the energy with the currently smallest
+    Repeatedly opens a gap at the point with the currently smallest
     best-member Lyapunov exponent until the grid minimax exceeds the
     positivity threshold.  Verification is numerical: a fine grid plus
     margin, not a rigorous enclosure.  Returns members sharing a period
-    in phi.period * N, except for the degenerate single-member case
-    where phi itself already covers the window.
+    that is a multiple of the data's, except for the degenerate
+    single-member case where the data itself already covers the window.
     """
+    return _cover(data, R, eps, seed, budget, options)
+
+
+def cmv_resolvent_cover(alpha: cmv.VerblunskyCycle, eps: float, seed: int,
+                        budget: Optional[GapSearchBudget] = None,
+                        options: Optional[CoverOptions] = None,
+                        ) -> list[cmv.VerblunskyCycle]:
+    """Greedy gapped cover of the whole circle (compact, no window)."""
+    return _cover(alpha, None, eps, seed, budget, options)
+
+
+def _cover(data, R, eps, seed, budget, options):
+    fam = _family(data)
     options = options or CoverOptions()
     budget = _cover_budget(budget, options)
-    lifts = {lift: (phi.repeated(lift) if lift > 1 else phi)
+    T = fam.period(data)
+    lifts = {lift: (data.repeated(lift) if lift > 1 else data)
              for lift, _, _ in options.attempt_ladder}
+    # a word letter is worth the prepared lift's period in base periods
+    # (two for a doubled 1-cycle)
+    units = {lift: int(round(fam.period(fam.prepare(lifted)) / T))
+             for lift, lifted in lifts.items()}
 
     rng = np.random.default_rng(seed)
-    grid = np.linspace(-R, R, options.grid_points)
+    grid = fam.grid(R, options.grid_points)
 
-    raw_members: list[dirac.PiecewisePotential] = []
+    raw_members: list[Data] = []
     rows: list[np.ndarray] = []
     common = 1
 
-    base_row = dirac.lyapunov_profile(phi, grid)
+    base_row = fam.lyapunov(data, grid)
     if base_row.max() > options.kappa_threshold:
-        raw_members.append(phi)
+        raw_members.append(data)
         rows.append(base_row)
 
     while True:
@@ -400,48 +519,49 @@ def resolvent_cover(phi: dirac.PiecewisePotential, R: float, eps: float,
         if len(raw_members) >= options.max_members:
             raise BudgetExhausted(
                 f"cover needs more than {options.max_members} members; "
-                f"worst uncovered energy {grid[worst]} with "
+                f"worst uncovered {fam.point_name} {grid[worst]} with "
                 f"max Lyapunov {best[worst]:.3e}")
-        lam_star = float(grid[worst])
+        target = float(grid[worst])
         member = None
         failure: Exception = BudgetExhausted("no attempts made")
         for lift, word_length, margin in options.attempt_ladder:
             sub_seed = int(rng.integers(2 ** 63))
             admissible = _admissible_lengths(
-                word_length, lift, common, options.max_common_blocks)
+                word_length, units[lift], common, options.max_common_blocks)
             if not admissible:
                 continue
             attempt_budget = replace(budget, word=replace(
                 budget.word, max_word_length=word_length,
                 trace_margin=margin, admissible_lengths=admissible))
             try:
-                member, _cert = open_gap(lifts[lift], lam_star, eps, sub_seed,
+                member, _cert = open_gap(lifts[lift], target, eps, sub_seed,
                                          attempt_budget)
                 break
             except (BudgetExhausted, WordNotFound) as exc:
                 failure = exc
         if member is None:
             raise BudgetExhausted(
-                f"gap opening failed at energy {lam_star}: {failure}")
-        common = math.lcm(common, int(round(member.period / phi.period)))
+                f"gap opening failed at {fam.point_name} {target}: {failure}")
+        common = math.lcm(common, int(round(fam.period(member) / T)))
         raw_members.append(member)
-        rows.append(dirac.lyapunov_profile(member, grid))
+        rows.append(fam.lyapunov(member, grid))
 
-    if len(raw_members) == 1 and raw_members[0] is phi:
-        return [phi]
+    if len(raw_members) == 1 and raw_members[0] is data:
+        return [data]
     members = []
     for member in raw_members:
-        reps = int(round(common * phi.period / member.period))
+        reps = int(round(common * T / fam.period(member)))
         members.append(member.repeated(reps) if reps > 1 else member)
     return members
 
 
-def cover_kappa(members: Sequence[dirac.PiecewisePotential], R: float,
+def cover_kappa(members: Sequence[Data], R: Optional[float] = None,
                 grid_points: int = 2048) -> float:
-    """Grid minimax Lyapunov exponent: min over energies of the best
-    member exponent."""
-    grid = np.linspace(-R, R, grid_points)
-    rows = np.vstack([dirac.lyapunov_profile(mem, grid) for mem in members])
+    """Grid minimax Lyapunov exponent over [-R, R] (Dirac) or the circle
+    (CMV): min over the grid of the best member exponent."""
+    fam = _family(members[0])
+    grid = fam.grid(R, grid_points)
+    rows = np.vstack([fam.lyapunov(mem, grid) for mem in members])
     return float(np.min(np.max(rows, axis=0)))
 
 
@@ -474,10 +594,7 @@ class ConstructionReport:
         return len(self.cover)
 
     def to_json_dict(self) -> dict:
-        if self.kind == "dirac":
-            spectrum = [list(iv) for iv in self.spectrum.intervals]
-        else:
-            spectrum = [list(arc) for arc in self.spectrum.arcs]
+        intervals = FAMILIES[self.kind].intervals(self.spectrum)
         return {
             "kind": self.kind,
             "cover": [mem.rows for mem in self.cover],
@@ -487,7 +604,7 @@ class ConstructionReport:
             "block_period": self.block_period,
             "schedule": list(self.schedule),
             "final_period": self.final_period,
-            "spectrum": spectrum,
+            "spectrum": [list(iv) for iv in intervals],
             "measure": self.measure,
             "c1": self.c1,
             "epsilon": self.epsilon,
@@ -503,55 +620,72 @@ def feasibility_threshold(m: int, block_ratio: int) -> int:
     return 4 * m * block_ratio
 
 
-def thin_spectrum(phi: dirac.PiecewisePotential, R: float, eps: float, N: int,
+def thin_spectrum(data: Data, R: Optional[float], eps: float, N: int,
                   seed: int, tol: float = 1e-8,
                   budget: Optional[GapSearchBudget] = None,
                   options: Optional[CoverOptions] = None,
-                  cover: Optional[Sequence[dirac.PiecewisePotential]] = None,
-                  scan_oversample: float = 1.0,
-                  ) -> tuple[dirac.PiecewisePotential, ConstructionReport]:
-    """Build period-NT data within eps of phi whose spectrum in [-R, R]
-    is thin.
+                  cover: Optional[Sequence[Data]] = None,
+                  ) -> tuple[Data, ConstructionReport]:
+    """Build period-NT data within eps of the data whose spectrum in
+    [-R, R] (Dirac) or on the circle (CMV; R is ignored) is thin.
 
     The construction concatenates N_hat + 1 copies of each cover member
     at positions s_j = j (N_hat + 1) T' and fills the remainder with
-    copies of phi, exactly as blocks of segments; N_hat is maximal with
-    m (N_hat + 1) T' <= N T.
+    copies of the data, exactly as blocks of entries; N_hat is maximal
+    with m (N_hat + 1) T' <= N T.
     """
+    return _thin(data, R, eps, N, seed, tol, budget, options, cover)
+
+
+def cmv_thin_spectrum(alpha: cmv.VerblunskyCycle, eps: float, N: int,
+                      seed: int, tol: float = 1e-8,
+                      budget: Optional[GapSearchBudget] = None,
+                      options: Optional[CoverOptions] = None,
+                      cover: Optional[Sequence[cmv.VerblunskyCycle]] = None,
+                      ) -> tuple[cmv.VerblunskyCycle, ConstructionReport]:
+    """Period-Nq Verblunsky data within eps of alpha (Poincare metric)
+    whose spectrum has small angular measure."""
+    return _thin(alpha, None, eps, N, seed, tol, budget, options, cover)
+
+
+def _thin(data, R, eps, N, seed, tol, budget, options, cover):
+    fam = _family(data)
     members = list(cover) if cover is not None else resolvent_cover(
-        phi, R, eps, seed, budget, options)
-    T = phi.period
-    Tp = members[0].period
+        data, R, eps, seed, budget, options)
+    T = fam.period(data)
+    Tp = fam.period(members[0])
     for mem in members:
-        if abs(mem.period - Tp) > 1e-9 * Tp:
+        if abs(fam.period(mem) - Tp) > 1e-9 * Tp:
             raise ValueError("cover members must share a common period")
     m = len(members)
     ratio = int(round(Tp / T))
     n0 = feasibility_threshold(m, ratio)
     if N < n0:
         raise NTooSmall(f"N={N} below feasibility threshold N0={n0} "
-                        f"(m={m}, T'={Tp})")
+                        f"(m={m}, {fam.period_symbol}'={Tp})")
     n_hat = N // (m * ratio) - 1
     if (n_hat + 1) * m * ratio > N:
         n_hat -= 1
     groups = [(mem, n_hat + 1) for mem in members]
     remainder = N - m * (n_hat + 1) * ratio
     if remainder > 0:
-        groups.append((phi, remainder))
-    phit = dirac.concatenate(block.repeated(reps) for block, reps in groups)
-    if abs(phit.period - N * T) > 1e-9 * max(1.0, N * T):
+        groups.append((data, remainder))
+    result = fam.concat(block.repeated(reps) for block, reps in groups)
+    if abs(fam.period(result) - N * T) > 1e-9 * max(1.0, N * T):
         raise NumericalAssertionError(
-            f"assembled period {phit.period} is not N T = {N * T}")
-    distance = _dirac_distance(phi, phit)
-    spectrum = dirac.bands_of_groups(groups, R, tol, scan_oversample)
+            f"assembled period {fam.period(result)} is not "
+            f"N {fam.period_symbol} = {N * T}")
+    distance = _distance(data, result)
+    spectrum = fam.bands_of_groups(groups, R, tol)
     kappa = cover_kappa(members, R)
-    schedule = tuple(j * (n_hat + 1) * Tp for j in range(1, m + 1))
+    schedule = tuple(float(j * (n_hat + 1) * Tp) for j in range(1, m + 1))
     report = ConstructionReport(
-        kind="dirac", cover=tuple(members), kappa=kappa, n_value=N,
-        n_hat=n_hat, block_period=Tp, schedule=schedule,
-        final_period=N * T, spectrum=spectrum, measure=spectrum.measure,
-        c1=kappa / (2.0 * m), epsilon=eps, distance=distance, seed=seed)
-    return phit, report
+        kind=fam.kind, cover=tuple(members), kappa=kappa, n_value=N,
+        n_hat=n_hat, block_period=float(Tp), schedule=schedule,
+        final_period=float(N * T), spectrum=spectrum,
+        measure=spectrum.measure, c1=kappa / (2.0 * m), epsilon=eps,
+        distance=distance, seed=seed)
+    return result, report
 
 
 def fit_decay_rate(final_periods: Sequence[float],
@@ -566,250 +700,3 @@ def fit_decay_rate(final_periods: Sequence[float],
     logs = np.log(np.maximum(np.asarray(measures, dtype=float), 1e-300))
     slope = np.polyfit(np.asarray(final_periods, dtype=float), logs, 1)[0]
     return float(slope)
-
-
-# ---------------------------------------------------------------------------
-# CMV mirrors
-# ---------------------------------------------------------------------------
-
-def _prepare_cycle(alpha: cmv.VerblunskyCycle) -> cmv.VerblunskyCycle:
-    # Entry 0 is preserved under perturbation, so a 1-cycle is doubled
-    # first (same operator, richer representation).
-    return alpha.repeated(2) if alpha.q == 1 else alpha
-
-
-def _perturb_cycle(alpha: cmv.VerblunskyCycle, rng: np.random.Generator,
-                   radius: float) -> cmv.VerblunskyCycle:
-    # geodesic offsets: Euclidean radius tanh(r) maps to hyperbolic radius r
-    vals = list(alpha.values)
-    t = math.tanh(radius)
-    for k in range(1, len(vals)):
-        w = _disk_offset(rng, t)
-        vals[k] = cmv.poincare_push(vals[k], w)
-    return cmv.VerblunskyCycle(values=tuple(vals))
-
-
-def _perturb_cycle_resonant(alpha: cmv.VerblunskyCycle,
-                            rng: np.random.Generator, radius: float,
-                            theta: float) -> cmv.VerblunskyCycle:
-    # Fourier-mode proposal matched to the target angle: coefficient
-    # modes near index q theta / (2 pi) open a gap at exp(i theta).
-    q = alpha.q
-    nu = round(theta * q / TWO_PI) + int(rng.integers(-1, 2))
-    phase = rng.uniform(0.0, TWO_PI)
-    amp = math.tanh(radius) * (0.5 + 0.5 * rng.uniform())
-    vals = list(alpha.values)
-    for k in range(1, q):
-        w = amp * np.exp(1j * (phase - TWO_PI * nu * k / q))
-        vals[k] = cmv.poincare_push(vals[k], w)
-    return cmv.VerblunskyCycle(values=tuple(vals))
-
-
-def _cycle_distance(alpha: cmv.VerblunskyCycle, beta: cmv.VerblunskyCycle) -> float:
-    reps = len(beta.values) // len(alpha.values)
-    base = alpha.repeated(reps) if reps > 1 else alpha
-    return cmv.poincare_delta(base, beta)
-
-
-def cmv_open_gap(alpha: cmv.VerblunskyCycle, theta: float, eps: float,
-                 seed: int, budget: Optional[GapSearchBudget] = None,
-                 ) -> tuple[cmv.VerblunskyCycle, GapCertificate]:
-    """Poincare-metric mirror of open_gap for extended CMV matrices."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    budget = budget or GapSearchBudget()
-    rng = np.random.default_rng(seed)
-    return _open_gap_cmv(alpha, alpha, theta, eps, rng, budget, 0, ())
-
-
-def _open_gap_cmv(alpha_orig, alpha, theta, eps, rng, budget, depth, pre):
-    D0 = cmv.cmv_discriminant(alpha, theta)
-    if abs(D0) > 2.0 + su11.PARABOLIC_TOL:
-        return alpha, GapCertificate(
-            kind="cmv", target=theta, case=1, word=None, base=alpha,
-            partner=None, result_period=alpha.q, achieved_trace=D0,
-            distance=_cycle_distance(alpha_orig, alpha), preperturbations=pre)
-
-    # Doubling a 1-cycle changes the discriminant (Chebyshev relation),
-    # so the case split below must look at the prepared representation.
-    alphap = _prepare_cycle(alpha)
-    D0p = cmv.cmv_discriminant(alphap, theta)
-    if abs(D0p) >= 2.0 - budget.elliptic_margin:
-        if depth >= budget.case3_retries:
-            raise BudgetExhausted(
-                f"case-3 retries exhausted at theta={theta}, |D|={abs(D0p):.6f}")
-        k = 1 + int(rng.integers(alphap.q - 1))
-        w = _disk_offset(rng, math.tanh(eps / 2.0))
-        nudged = alphap.with_value(k, cmv.poincare_push(alphap.values[k], w))
-        return _open_gap_cmv(alpha_orig, nudged, theta, eps / 2.0, rng, budget,
-                             depth + 1, pre + (abs(w),))
-
-    M0 = cmv.cmv_monodromy(alphap, theta)
-    su11.classify(M0)
-    single_ok = (budget.word.admissible_lengths is None
-                 or 1 in budget.word.admissible_lengths)
-    for trial in range(budget.max_samples):
-        if budget.resonant_proposals and trial % 2 == 0:
-            beta = _perturb_cycle_resonant(alphap, rng, eps / 2.0, theta)
-        else:
-            beta = _perturb_cycle(alphap, rng, eps / 2.0)
-        M1 = cmv.cmv_monodromy(beta, theta)
-        try:
-            t1 = su11.real_trace(M1)
-        except NotInGroup:
-            continue
-        if single_ok and 2.0 + budget.word.trace_margin < abs(t1) <= budget.word.trace_cap:
-            word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
-        elif abs(t1) > 2.0 - budget.elliptic_margin:
-            continue
-        elif su11.commutator_norm(M0, M1) <= budget.commutator_min:
-            continue
-        else:
-            try:
-                word = su11.hyperbolic_in_semigroup(M0, M1, budget.word)
-            except (WordNotFound, CommutingInput, NotElliptic, NotInGroup):
-                continue
-        blocks = (alphap, beta)
-        tilde = cmv.concatenate_cycles(blocks[letter].repeated(count)
-                                       for letter, count in word.runs)
-        Dt = cmv.cmv_discriminant(tilde, theta)
-        if abs(Dt - word.trace) > 1e-8 * max(1.0, abs(Dt)):
-            raise NumericalAssertionError(
-                f"word trace {word.trace} disagrees with concatenated "
-                f"CMV discriminant {Dt}")
-        if abs(Dt) <= 2.0:
-            continue
-        return tilde, GapCertificate(
-            kind="cmv", target=theta, case=2, word=word, base=alphap,
-            partner=beta, result_period=tilde.q, achieved_trace=Dt,
-            distance=_cycle_distance(alpha_orig, tilde), preperturbations=pre)
-    raise BudgetExhausted(
-        f"no gap within {budget.max_samples} samples at theta={theta}")
-
-
-def cmv_resolvent_cover(alpha: cmv.VerblunskyCycle, eps: float, seed: int,
-                        budget: Optional[GapSearchBudget] = None,
-                        options: Optional[CoverOptions] = None,
-                        ) -> list[cmv.VerblunskyCycle]:
-    """Greedy gapped cover of the whole circle (compact, no window).
-
-    Mirrors resolvent_cover with the Poincare metric and angular grid;
-    gap opening runs on the lifted cycle representation.
-    """
-    options = options or CoverOptions()
-    budget = _cover_budget(budget, options)
-    lifts = {lift: (alpha.repeated(lift) if lift > 1 else alpha)
-             for lift, _, _ in options.attempt_ladder}
-
-    rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, TWO_PI, options.grid_points, endpoint=False)
-
-    raw_members: list[cmv.VerblunskyCycle] = []
-    rows: list[np.ndarray] = []
-    common = 1
-
-    base_row = cmv.cmv_lyapunov_profile(alpha, grid)
-    if base_row.max() > options.kappa_threshold:
-        raw_members.append(alpha)
-        rows.append(base_row)
-
-    while True:
-        if rows:
-            best = np.max(np.vstack(rows), axis=0)
-        else:
-            best = np.full(grid.size, -1.0)
-        worst = int(np.argmin(best))
-        if best[worst] > options.kappa_threshold:
-            break
-        if len(raw_members) >= options.max_members:
-            raise BudgetExhausted(
-                f"cover needs more than {options.max_members} members; "
-                f"worst uncovered angle {grid[worst]} with "
-                f"max Lyapunov {best[worst]:.3e}")
-        theta_star = float(grid[worst])
-        member = None
-        failure: Exception = BudgetExhausted("no attempts made")
-        for lift, word_length, margin in options.attempt_ladder:
-            sub_seed = int(rng.integers(2 ** 63))
-            # a doubled 1-cycle makes each word letter worth two periods
-            unit = 2 if alpha.q * lift == 1 else 1
-            admissible = _admissible_lengths(
-                word_length, lift * unit, common, options.max_common_blocks)
-            if not admissible:
-                continue
-            attempt_budget = replace(budget, word=replace(
-                budget.word, max_word_length=word_length,
-                trace_margin=margin, admissible_lengths=admissible))
-            try:
-                member, _cert = cmv_open_gap(lifts[lift], theta_star, eps,
-                                             sub_seed, attempt_budget)
-                break
-            except (BudgetExhausted, WordNotFound) as exc:
-                failure = exc
-        if member is None:
-            raise BudgetExhausted(
-                f"gap opening failed at angle {theta_star}: {failure}")
-        common = math.lcm(common, member.q // alpha.q)
-        raw_members.append(member)
-        rows.append(cmv.cmv_lyapunov_profile(member, grid))
-
-    if len(raw_members) == 1 and raw_members[0] is alpha:
-        return [alpha]
-    members = []
-    for member in raw_members:
-        reps = (common * alpha.q) // member.q
-        members.append(member.repeated(reps) if reps > 1 else member)
-    return members
-
-
-def cmv_cover_kappa(members: Sequence[cmv.VerblunskyCycle],
-                    grid_points: int = 2048) -> float:
-    grid = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    rows = np.vstack([cmv.cmv_lyapunov_profile(mem, grid) for mem in members])
-    return float(np.min(np.max(rows, axis=0)))
-
-
-def cmv_thin_spectrum(alpha: cmv.VerblunskyCycle, eps: float, N: int,
-                      seed: int, tol: float = 1e-8,
-                      budget: Optional[GapSearchBudget] = None,
-                      options: Optional[CoverOptions] = None,
-                      cover: Optional[Sequence[cmv.VerblunskyCycle]] = None,
-                      ) -> tuple[cmv.VerblunskyCycle, ConstructionReport]:
-    """Period-Nq Verblunsky data within eps of alpha (Poincare metric)
-    whose spectrum has small angular measure."""
-    members = list(cover) if cover is not None else cmv_resolvent_cover(
-        alpha, eps, seed, budget, options)
-    q = alpha.q
-    qp = members[0].q
-    for mem in members:
-        if mem.q != qp:
-            raise ValueError("cover members must share a common period")
-    m = len(members)
-    ratio = qp // q
-    n0 = feasibility_threshold(m, ratio)
-    if N < n0:
-        raise NTooSmall(f"N={N} below feasibility threshold N0={n0} "
-                        f"(m={m}, q'={qp})")
-    n_hat = N // (m * ratio) - 1
-    if (n_hat + 1) * m * ratio > N:
-        n_hat -= 1
-    groups = [(mem, n_hat + 1) for mem in members]
-    remainder = N - m * (n_hat + 1) * ratio
-    if remainder > 0:
-        groups.append((alpha, remainder))
-    tilde = cmv.concatenate_cycles(cycle.repeated(reps)
-                                   for cycle, reps in groups)
-    if tilde.q != N * q:
-        raise NumericalAssertionError(
-            f"assembled period {tilde.q} is not N q = {N * q}")
-    distance = _cycle_distance(alpha, tilde)
-    spectrum = cmv.cmv_bands_of_groups(groups, tol)
-    kappa = cmv_cover_kappa(members)
-    schedule = tuple(float(j * (n_hat + 1) * qp) for j in range(1, m + 1))
-    report = ConstructionReport(
-        kind="cmv", cover=tuple(members), kappa=kappa, n_value=N,
-        n_hat=n_hat, block_period=float(qp), schedule=schedule,
-        final_period=float(N * q), spectrum=spectrum,
-        measure=spectrum.measure, c1=kappa / (2.0 * m), epsilon=eps,
-        distance=distance, seed=seed)
-    return tilde, report

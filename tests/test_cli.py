@@ -169,3 +169,81 @@ def test_determinism_byte_identical(tmp_path):
     for name in ("gap_certificate.json", "gap_certificate.csv"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
+
+
+def test_open_gap_command_cmv(tmp_path):
+    cfg = dict(CMV_CFG)
+    cfg["seed"] = 7
+    cfg["open_gap"] = {"target": 2.0, "epsilon": 0.2}
+    p = write_cfg(tmp_path, cfg)
+    for out in ("a", "b"):
+        assert cli.main(["open-gap", "--config", p,
+                         "--out", str(tmp_path / out)]) == 0
+    doc = json.loads((tmp_path / "a" / "gap_certificate.json").read_text())
+    assert doc["kind"] == "cmv" and doc["case"] == 2
+    assert len(doc["verification"]) == 4
+    assert all(doc["verification"].values())
+    for name in ("gap_certificate.json", "gap_certificate.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
+def test_lyapunov_command_cmv(tmp_path):
+    cfg = dict(CMV_CFG)
+    cfg["grid_points"] = 64
+    rc = cli.main(["lyapunov", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "out" / "lyapunov.json").read_text())
+    points = [p for p, _ in doc["values"]]
+    assert doc["kind"] == "cmv" and len(points) == 64
+    assert points[0] == 0.0
+    assert abs(points[-1] - 2.0 * math.pi * 63 / 64) < 1e-12
+
+
+def test_gordon_command_cmv_constant_cycle(tmp_path):
+    cfg = {"kind": "cmv", "verblunsky": [[0.3, 0.1]],
+           "gordon": {"q": 1, "c": 2.0}}
+    rc = cli.main(["gordon", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "out" / "gordon.json").read_text())
+    assert doc["kind"] == "cmv" and doc["defect"] == 0.0
+
+
+def test_bands_kind_cmv_matches_cmv_bands(tmp_path):
+    p = write_cfg(tmp_path, CMV_CFG)
+    assert cli.main(["bands", "--config", p, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["cmv-bands", "--config", p,
+                     "--out", str(tmp_path / "b")]) == 0
+    for name in ("bands.json", "bands.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
+def test_cmv_thin_command(tmp_path):
+    cfg = {"verblunsky": [[0.0, 0.0]], "tol": 1e-8, "seed": 2,
+           "construction": {"epsilon": 2.5}}
+    rc = cli.main(["cmv-thin", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    summary = json.loads((tmp_path / "out" / "thin_summary.json").read_text())
+    assert summary["kind"] == "cmv" and len(summary["rows"]) == 3
+    for row in summary["rows"]:
+        doc = json.loads(
+            (tmp_path / "out" / f"thin_N{row['N']}.json").read_text())
+        assert doc["kind"] == "cmv"
+        assert doc["measure"] == row["measure"]
+
+
+@pytest.mark.parametrize("rows", [None, [["a", 0.0]], [[0.1]], 5])
+def test_bad_verblunsky_rows_exit_code(tmp_path, rows):
+    cfg = {"kind": "cmv", "seed": 1, "open_gap": {"target": 1.0},
+           "gordon": {"q": 1}}
+    if rows is not None:
+        cfg["verblunsky"] = rows
+    p = write_cfg(tmp_path, cfg)
+    for command in ("bands", "lyapunov", "open-gap", "cmv-thin", "gordon"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", p, "--out", str(out)]) == 2
+        assert out.is_dir()

@@ -80,7 +80,7 @@ def test_resolvent_cover_free_window():
     periods = {round(m.period) for m in members}
     assert len(periods) == 1
     for mem in members:
-        assert construct._dirac_distance(FREE, mem) < 0.3
+        assert construct._distance(FREE, mem) < 0.3
 
 
 def test_thin_spectrum_feasibility_threshold():
@@ -171,3 +171,24 @@ def test_cmv_cover_rejects_partner_outside_group():
     members = construct.cmv_resolvent_cover(
         cmv.VerblunskyCycle((0.3,)), 2.5, 209)
     assert len(members) == 5
+
+
+def test_family_entries_see_rebound_library_functions(monkeypatch):
+    # perfbench/tracer.py times layers by rebinding module attributes, so
+    # the construction must look library functions up at call time
+    counts = {}
+    watched = [(dirac, "monodromy"), (dirac, "discriminant"),
+               (dirac, "lyapunov_profile"), (dirac, "bands_of_groups"),
+               (cmv, "cmv_monodromy"), (cmv, "cmv_discriminant"),
+               (cmv, "cmv_lyapunov_profile"), (construct, "open_gap"),
+               (construct, "cover_kappa")]
+    for module, name in watched:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    # a five-member cover of [-0.1, 0.1], built inside thin_spectrum
+    _, report = construct.thin_spectrum(FREE, 0.1, 0.3, 480, seed=1)
+    assert report.member_count == 5
+    construct.cmv_resolvent_cover(cmv.VerblunskyCycle((0.0,)), 2.5, 2)
+    assert {name for _, name in watched} == set(counts)
