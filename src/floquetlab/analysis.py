@@ -221,7 +221,6 @@ class Stage:
     spectrum: dirac.BandSet
     target: Optional[float]
     epsilon: Optional[float]
-    report: Optional[construct.ConstructionReport]
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,14 +271,13 @@ STAGE_LADDER: tuple[tuple[int, int, float], ...] = (
     (1, 8, 0.006), (1, 8, 0.004), (2, 3, 0.004), (1, 6, 0.004))
 
 
-def _stage_targets(spectrum: dirac.BandSet, period: float,
-                   ladder=STAGE_LADDER, per_band: int = 4) -> list[float]:
+def _stage_targets(spectrum: dirac.BandSet, period: float) -> list[float]:
     """Deterministic gap targets: midpoints of the largest surviving
     bands, plus the nearby crossing-lattice points of the lifted
     representations, where the resonant proposals have reach."""
     bands_by_size = sorted(spectrum.intervals, key=lambda iv: iv[1] - iv[0],
                            reverse=True)
-    lifts = sorted({lift * wl for lift, wl, _ in ladder}, reverse=True)
+    lifts = sorted({lift * wl for lift, wl, _ in STAGE_LADDER}, reverse=True)
     targets: list[float] = []
     for a, b in bands_by_size[:6]:
         mid = 0.5 * (a + b)
@@ -291,16 +289,15 @@ def _stage_targets(spectrum: dirac.BandSet, period: float,
             margin = 0.05 * (b - a)
             if a + margin < snapped < b - margin:
                 cands.append(snapped)
-        for c in cands[:per_band]:
+        for c in cands[:4]:
             if all(abs(c - t) > 1e-12 for t in targets):
                 targets.append(c)
     return targets
 
 
 def build_schedule(phi0: dirac.PiecewisePotential, eps: float, n_max: int,
-                   seed: int, window: float = 0.5, tol: float = 1e-8,
-                   ladder=STAGE_LADDER, samples_per_target: int = 400,
-                   ) -> Schedule:
+                   seed: int, window: float = 0.5,
+                   tol: float = 1e-8) -> Schedule:
     """Chain n_max gap-opening stages starting from phi0.
 
     Stage n perturbs the previous data by less than the step bound
@@ -322,7 +319,7 @@ def build_schedule(phi0: dirac.PiecewisePotential, eps: float, n_max: int,
     eps_allow = eps / 2.0
     stages = [Stage(data=phi0, period=phi0.period, measure=spectrum0.measure,
                     spectrum=spectrum0, target=None,
-                    epsilon=eps_allow if n_max > 0 else None, report=None)]
+                    epsilon=eps_allow if n_max > 0 else None)]
     data = phi0
     spectrum = spectrum0
 
@@ -334,13 +331,12 @@ def build_schedule(phi0: dirac.PiecewisePotential, eps: float, n_max: int,
                 diagnostics={"stage": n, "bound": eps_allow})
         oversample = max(8.0, 64.0 / data.period)
         built = None
-        for lam_target in _stage_targets(spectrum, data.period, ladder):
-            for lift, word_length, margin in ladder:
+        for lam_target in _stage_targets(spectrum, data.period):
+            for lift, word_length, margin in STAGE_LADDER:
                 sub_seed = int(rng.integers(2 ** 63))
                 lifted = data.repeated(lift) if lift > 1 else data
                 budget = construct.GapSearchBudget(
-                    max_samples=samples_per_target,
-                    resonant_proposals=True,
+                    max_samples=400, resonant_proposals=True,
                     word=su11.SearchBudget(
                         max_word_length=word_length, trace_margin=margin,
                         trace_cap=4.0, max_nodes=20_000))
@@ -373,7 +369,7 @@ def build_schedule(phi0: dirac.PiecewisePotential, eps: float, n_max: int,
         stages.append(Stage(data=phit, period=period,
                             measure=new_spectrum.measure,
                             spectrum=new_spectrum, target=target,
-                            epsilon=eps_next, report=None))
+                            epsilon=eps_next))
         data = phit
         spectrum = new_spectrum
         if eps_next is not None:

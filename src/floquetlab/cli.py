@@ -46,6 +46,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _number(value, name: str, convert=float):
+    """A number read from the config; anything else is a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
 def _data_from(cfg: dict, kind: str):
     """The operator data of the config: a potential or a Verblunsky cycle."""
     fam = construct.FAMILIES[kind]
@@ -53,10 +61,9 @@ def _data_from(cfg: dict, kind: str):
     if not rows:
         raise ConfigError(f"config needs '{fam.config_key}': {fam.row_hint}")
     try:
-        entries = tuple(fam.parse_row(r) for r in rows)
-    except (TypeError, ValueError, IndexError) as exc:
+        return fam.make(tuple(fam.parse_row(r) for r in rows))
+    except (TypeError, ValueError, LookupError) as exc:
         raise ConfigError(f"bad {fam.config_key} rows: {exc}") from exc
-    return fam.make(entries)
 
 
 def _kind(cfg: dict) -> str:
@@ -70,11 +77,11 @@ def _require_seed(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("a seed is mandatory for randomized commands")
-    return int(seed)
+    return _number(seed, "seed", int)
 
 
 def _tol(cfg: dict) -> float:
-    tol = float(cfg.get("tol", 1e-8))
+    tol = _number(cfg.get("tol", 1e-8), "tol")
     if tol <= 0:
         raise ConfigError("tol must be positive")
     return tol
@@ -113,8 +120,8 @@ def cmd_bands(cfg: dict, args) -> int:
     out = _out_dir(args)
     fam = construct.FAMILIES[kind]
     intervals = fam.intervals(fam.bands(
-        _data_from(cfg, kind), float(cfg.get("window", 3.0)), tol,
-        float(cfg.get("oversample", 1.0))))
+        _data_from(cfg, kind), _number(cfg.get("window", 3.0), "window"), tol,
+        _number(cfg.get("oversample", 1.0), "oversample")))
     rows = [[i, a, b, b - a] for i, (a, b) in enumerate(intervals)]
     summary = {
         "kind": kind,
@@ -133,8 +140,8 @@ def cmd_dos(cfg: dict, args) -> int:
     phi = _data_from(cfg, "dirac")
     tol = _tol(cfg)
     out = _out_dir(args)
-    R = float(cfg.get("window", 3.0))
-    nodes = int(cfg.get("dos", {}).get("nodes", 48))
+    R = _number(cfg.get("window", 3.0), "window")
+    nodes = _number(cfg.get("dos", {}).get("nodes", 48), "nodes", int)
     bandset = dirac.bands(phi, R, tol)
     rows = []
     for i, (a, b) in enumerate(bandset.intervals):
@@ -160,10 +167,10 @@ def cmd_dos(cfg: dict, args) -> int:
 def cmd_lyapunov(cfg: dict, args) -> int:
     kind = _kind(cfg)
     out = _out_dir(args)
-    n = int(cfg.get("grid_points", 512))
+    n = _number(cfg.get("grid_points", 512), "grid_points", int)
     fam = construct.FAMILIES[kind]
     data = _data_from(cfg, kind)
-    grid = fam.grid(float(cfg.get("window", 3.0)), n)
+    grid = fam.grid(_number(cfg.get("window", 3.0), "window"), n)
     rows = [[float(x), float(v)] for x, v in zip(grid, fam.lyapunov(data, grid))]
     _write_text(out / "lyapunov.csv",
                 _csv_text(["point", "lyapunov"], rows), "csv", args.format)
@@ -193,10 +200,10 @@ def cmd_open_gap(cfg: dict, args) -> int:
     out = _out_dir(args)
     seed = _require_seed(cfg, args)
     gap_cfg = cfg.get("open_gap", {})
-    eps = float(gap_cfg.get("epsilon", 0.2))
-    target = float(gap_cfg["target"]) if "target" in gap_cfg else None
-    if target is None:
+    eps = _number(gap_cfg.get("epsilon", 0.2), "epsilon")
+    if "target" not in gap_cfg:
         raise ConfigError("open_gap config needs 'target'")
+    target = _number(gap_cfg["target"], "target")
     result, cert = construct.open_gap(_data_from(cfg, kind), target, eps, seed)
     doc = _certificate_dict(cert)
     doc["verification"] = construct.verify_gap_certificate(result, cert)
@@ -215,7 +222,7 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
     seed = _require_seed(cfg, args)
     tol = _tol(cfg)
     ccfg = cfg.get("construction", {})
-    eps = float(ccfg.get("epsilon", 0.3))
+    eps = _number(ccfg.get("epsilon", 0.3), "epsilon")
     n_values = ccfg.get("n_values")
     summary_rows = []
     reports = []
@@ -224,17 +231,18 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
 
     try:
         data = _data_from(cfg, kind)
-        R = float(cfg.get("window", 2.0))
+        R = _number(cfg.get("window", 2.0), "window")
         cover = construct.resolvent_cover(data, R, eps, seed)
         m, ratio = len(cover), int(round(period(cover[0]) / period(data)))
         n0 = construct.feasibility_threshold(m, ratio)
         if not n_values:
             n_values = [n0, n0 + m * ratio, n0 + 2 * m * ratio]
         for N in n_values:
+            N = _number(N, "n_values", int)
             _, report = construct.thin_spectrum(
-                data, R, eps, int(N), seed, tol=tol, cover=cover)
+                data, R, eps, N, seed, tol=tol, cover=cover)
             reports.append(report)
-            summary_rows.append([int(N), report.final_period, report.measure,
+            summary_rows.append([N, report.final_period, report.measure,
                                  math.log(max(report.measure, 1e-300))])
     except SearchFailure as exc:
         partial_error = exc
@@ -292,9 +300,9 @@ def cmd_dimension(cfg: dict, args) -> int:
     tol = _tol(cfg)
     dcfg = cfg.get("dimension", {})
     phi = _data_from(cfg, "dirac")
-    eps = float(dcfg.get("epsilon", 0.4))
-    n_stages = int(dcfg.get("n_stages", 2))
-    window = float(dcfg.get("window", 0.5))
+    eps = _number(dcfg.get("epsilon", 0.4), "epsilon")
+    n_stages = _number(dcfg.get("n_stages", 2), "n_stages", int)
+    window = _number(dcfg.get("window", 0.5), "window")
     scales = dcfg.get("scales") or [2.0 ** -k for k in range(3, 11)]
     schedule = analysis.build_schedule(phi, eps, n_stages, seed,
                                        window=window, tol=tol)
@@ -324,7 +332,7 @@ def cmd_gordon(cfg: dict, args) -> int:
     q = gcfg.get("q")
     if q is None:
         raise ConfigError("gordon config needs 'q'")
-    C = float(gcfg.get("c", 2.0))
+    C = _number(gcfg.get("c", 2.0), "c")
     value = analysis.gordon_defect(_data_from(cfg, kind), q, C)
     doc = {"kind": kind, "q": q, "c": C, "defect": value}
     _write_text(out / "gordon.json", _json_text(doc), "json", args.format)

@@ -57,10 +57,6 @@ class VerblunskyCycle:
         read-only."""
         return [[v.real, v.imag] for v in self.values]
 
-    @property
-    def sup_abs(self) -> float:
-        return max(abs(v) for v in self.values)
-
     def repeated(self, n: int) -> "VerblunskyCycle":
         if n < 1:
             raise ValueError("repetition count must be >= 1")
@@ -173,22 +169,6 @@ class ArcSet:
     def is_full_circle(self) -> bool:
         return self.measure >= TWO_PI - 1e-12
 
-    def distance_angular(self, theta: float) -> float:
-        if not self.arcs:
-            return math.inf
-        t = theta % TWO_PI
-        best = math.inf
-        for a, b in self.arcs:
-            if a <= t <= b:
-                return 0.0
-            d = min(abs(t - a), abs(t - b), abs(t - a + TWO_PI),
-                    abs(t - b + TWO_PI), abs(t - a - TWO_PI), abs(t - b - TWO_PI))
-            best = min(best, d)
-        return best
-
-    def contains(self, theta: float, tol: float = 0.0) -> bool:
-        return self.distance_angular(theta) <= tol
-
     def merged_presentation(self) -> tuple[tuple[float, float], ...]:
         """Arcs with a wrap-around pair joined across theta = 0."""
         arcs = list(self.arcs)
@@ -246,13 +226,7 @@ def _scan_arcs(profile, q: int, tol: float) -> ArcSet:
     trans = np.flatnonzero(inside != np.roll(inside, -1))
     lo = np.where(inside[trans], grid[trans], (grid[trans] + spacing))
     hi = np.where(inside[trans], (grid[trans] + spacing), grid[trans])
-    niter = max(int(math.ceil(math.log2(max(spacing / tol, 2.0)))) + 2, 4)
-    for _ in range(niter):
-        mid = 0.5 * (lo + hi)
-        inside_mid = np.abs(profile(mid)) <= 2.0
-        lo = np.where(inside_mid, mid, lo)
-        hi = np.where(inside_mid, hi, mid)
-    edges = (0.5 * (lo + hi)) % TWO_PI
+    edges = su11.bisect_band_edges(profile, lo, hi, spacing, tol) % TWO_PI
 
     # assemble runs of inside points cyclically, then cut at theta = 0
     arcs: list[tuple[float, float]] = []

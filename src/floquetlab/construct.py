@@ -17,7 +17,8 @@ type of the data.
 
 Everything is deterministic given (seed, budget): samples are drawn in a
 fixed order and the word search accepts the first word in a fixed
-canonical order.
+canonical order.  The search policy is a set of module constants: the
+pragmatic caps of an argument without effective bounds.
 """
 
 from __future__ import annotations
@@ -38,14 +39,19 @@ TWO_PI = 2.0 * math.pi
 Data = Union[dirac.PiecewisePotential, cmv.VerblunskyCycle]
 
 
+# Nested pre-perturbations allowed at parabolic targets (case 3).
+CASE3_RETRIES = 8
+# Both blocks need |trace| <= 2 - ELLIPTIC_MARGIN before the word search.
+ELLIPTIC_MARGIN = 0.01
+# Samples whose monodromy commutes with the base's within this are rejected.
+COMMUTATOR_MIN = 1e-3
+
+
 @dataclass(frozen=True)
 class GapSearchBudget:
-    """Limits and thresholds for the randomized gap-opening search.
+    """Limits for the randomized gap-opening search.
 
-    max_samples bounds the number of perturbation candidates per call;
-    case3_retries bounds nested pre-perturbations at parabolic targets;
-    elliptic_margin requires |trace| <= 2 - margin for both blocks before
-    the word search; commutator_min rejects nearly commuting samples.
+    max_samples bounds the number of perturbation candidates per call.
     The word budget fixes the semigroup search (length <= 24 by default:
     the underlying existence lemma gives no length bound, so this is a
     pragmatic cap).  With resonant_proposals, every other candidate
@@ -56,9 +62,6 @@ class GapSearchBudget:
     """
 
     max_samples: int = 1000
-    case3_retries: int = 8
-    elliptic_margin: float = 0.01
-    commutator_min: float = 1e-3
     resonant_proposals: bool = False
     word: su11.SearchBudget = field(default_factory=su11.SearchBudget)
 
@@ -328,9 +331,9 @@ def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
     # so the case split looks at the prepared representation.
     base = fam.prepare(data)
     D = D0 if base is data else fam.discriminant(base, target)
-    if abs(D) >= 2.0 - budget.elliptic_margin:
+    if abs(D) >= 2.0 - ELLIPTIC_MARGIN:
         # Case 3: parabolic or too close to it for a stable word search.
-        if depth >= budget.case3_retries:
+        if depth >= CASE3_RETRIES:
             raise BudgetExhausted(
                 f"case-3 retries exhausted at {fam.target_name}={target}, "
                 f"|D|={abs(D):.6f}")
@@ -363,9 +366,9 @@ def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
         if single_ok and 2.0 + budget.word.trace_margin < abs(t1) <= budget.word.trace_cap:
             # the partner alone is hyperbolic: single-letter word
             word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
-        elif abs(t1) > 2.0 - budget.elliptic_margin:
+        elif abs(t1) > 2.0 - ELLIPTIC_MARGIN:
             continue
-        elif su11.commutator_norm(M0, M1) <= budget.commutator_min:
+        elif su11.commutator_norm(M0, M1) <= COMMUTATOR_MIN:
             continue
         else:
             try:
@@ -414,54 +417,41 @@ def verify_gap_certificate(data: Data, cert: GapCertificate,
 # Resolvent cover
 # ---------------------------------------------------------------------------
 
-def _admissible_lengths(max_len: int, lift: int, current: int,
-                        cap: int) -> frozenset[int]:
+# Gap opening for cover members runs on lifted representations of the
+# seed (lift copies viewed as one period): lifted perturbation partners
+# carry many independent segments, so short words with high trace
+# margins succeed at most energies and produce wide gaps, while stubborn
+# resonant energies fall back to longer words over smaller lifts at
+# lower margins.  The attempt ladder lists (lift, word_length, margin)
+# rungs in that order of preference; together with the admissible-length
+# filter it keeps the least common multiple of member block counts at or
+# below MAX_COMMON_BLOCKS.
+ATTEMPT_LADDER: tuple[tuple[int, int, float], ...] = (
+    (24, 1, 0.5), (24, 1, 0.15), (12, 2, 0.25), (12, 2, 0.05),
+    (24, 1, 0.02), (12, 2, 0.01), (8, 3, 0.01), (6, 4, 0.006))
+MAX_COMMON_BLOCKS = 24
+# The cover is complete once the grid minimax Lyapunov exponent exceeds this.
+KAPPA_THRESHOLD = 1e-3
+MAX_MEMBERS = 96
+# Grid of the cover search and of cover_kappa.
+COVER_GRID_POINTS = 2048
+# Gap search of one cover member; each ladder rung sets the word length,
+# the trace margin and the admissible lengths.
+COVER_BUDGET = GapSearchBudget(
+    max_samples=150, resonant_proposals=True,
+    word=su11.SearchBudget(max_nodes=60_000, trace_cap=4.0))
+
+
+def _admissible_lengths(max_len: int, lift: int,
+                        current: int) -> frozenset[int]:
     """Word lengths (in lifted blocks) whose total block count keeps the
-    shared period under the cap."""
+    shared period at or below MAX_COMMON_BLOCKS."""
     return frozenset(w for w in range(1, max_len + 1)
-                     if math.lcm(current, w * lift) <= cap)
+                     if math.lcm(current, w * lift) <= MAX_COMMON_BLOCKS)
 
 
-@dataclass(frozen=True)
-class CoverOptions:
-    """Tuning for the greedy cover construction.
-
-    Gap opening for cover members runs on lifted representations of the
-    seed (lift copies viewed as one period): lifted perturbation
-    partners carry many independent segments, so short words with high
-    trace margins succeed at most energies and produce wide gaps, while
-    stubborn resonant energies fall back to longer words over smaller
-    lifts at lower margins.  The attempt ladder lists (lift,
-    word_length, margin) rungs in that order of preference; together
-    with the admissible-length filter it keeps the least common
-    multiple of member block counts at or below max_common_blocks.
-    """
-
-    attempt_ladder: tuple[tuple[int, int, float], ...] = (
-        (24, 1, 0.5), (24, 1, 0.15), (12, 2, 0.25), (12, 2, 0.05),
-        (24, 1, 0.02), (12, 2, 0.01), (8, 3, 0.01), (6, 4, 0.006))
-    max_common_blocks: int = 24
-    kappa_threshold: float = 1e-3
-    grid_points: int = 2048
-    max_members: int = 96
-    trace_cap: float = 4.0
-    samples_per_target: int = 150
-    word_nodes: int = 60_000
-
-
-def _cover_budget(budget: Optional[GapSearchBudget],
-                  options: CoverOptions) -> GapSearchBudget:
-    budget = budget or GapSearchBudget()
-    word_budget = replace(budget.word, max_nodes=options.word_nodes,
-                          trace_cap=options.trace_cap)
-    return replace(budget, word=word_budget,
-                   max_samples=options.samples_per_target,
-                   resonant_proposals=True)
-
-
-def resolvent_cover(data: Data, R: Optional[float], eps: float, seed: int,
-                    budget: Optional[GapSearchBudget] = None,
-                    options: Optional[CoverOptions] = None) -> list[Data]:
+def resolvent_cover(data: Data, R: Optional[float], eps: float,
+                    seed: int) -> list[Data]:
     """Greedy gapped cover: members within eps of the data whose
     resolvent sets jointly cover [-R, R] (Dirac) or the whole circle
     (CMV; R is ignored).
@@ -473,38 +463,34 @@ def resolvent_cover(data: Data, R: Optional[float], eps: float, seed: int,
     that is a multiple of the data's, except for the degenerate
     single-member case where the data itself already covers the window.
     """
-    return _cover(data, R, eps, seed, budget, options)
+    return _cover(data, R, eps, seed)
 
 
-def cmv_resolvent_cover(alpha: cmv.VerblunskyCycle, eps: float, seed: int,
-                        budget: Optional[GapSearchBudget] = None,
-                        options: Optional[CoverOptions] = None,
-                        ) -> list[cmv.VerblunskyCycle]:
+def cmv_resolvent_cover(alpha: cmv.VerblunskyCycle, eps: float,
+                        seed: int) -> list[cmv.VerblunskyCycle]:
     """Greedy gapped cover of the whole circle (compact, no window)."""
-    return _cover(alpha, None, eps, seed, budget, options)
+    return _cover(alpha, None, eps, seed)
 
 
-def _cover(data, R, eps, seed, budget, options):
+def _cover(data, R, eps, seed):
     fam = _family(data)
-    options = options or CoverOptions()
-    budget = _cover_budget(budget, options)
     T = fam.period(data)
     lifts = {lift: (data.repeated(lift) if lift > 1 else data)
-             for lift, _, _ in options.attempt_ladder}
+             for lift, _, _ in ATTEMPT_LADDER}
     # a word letter is worth the prepared lift's period in base periods
     # (two for a doubled 1-cycle)
     units = {lift: int(round(fam.period(fam.prepare(lifted)) / T))
              for lift, lifted in lifts.items()}
 
     rng = np.random.default_rng(seed)
-    grid = fam.grid(R, options.grid_points)
+    grid = fam.grid(R, COVER_GRID_POINTS)
 
     raw_members: list[Data] = []
     rows: list[np.ndarray] = []
     common = 1
 
     base_row = fam.lyapunov(data, grid)
-    if base_row.max() > options.kappa_threshold:
+    if base_row.max() > KAPPA_THRESHOLD:
         raw_members.append(data)
         rows.append(base_row)
 
@@ -514,24 +500,23 @@ def _cover(data, R, eps, seed, budget, options):
         else:
             best = np.full(grid.size, -1.0)
         worst = int(np.argmin(best))
-        if best[worst] > options.kappa_threshold:
+        if best[worst] > KAPPA_THRESHOLD:
             break
-        if len(raw_members) >= options.max_members:
+        if len(raw_members) >= MAX_MEMBERS:
             raise BudgetExhausted(
-                f"cover needs more than {options.max_members} members; "
+                f"cover needs more than {MAX_MEMBERS} members; "
                 f"worst uncovered {fam.point_name} {grid[worst]} with "
                 f"max Lyapunov {best[worst]:.3e}")
         target = float(grid[worst])
         member = None
         failure: Exception = BudgetExhausted("no attempts made")
-        for lift, word_length, margin in options.attempt_ladder:
+        for lift, word_length, margin in ATTEMPT_LADDER:
             sub_seed = int(rng.integers(2 ** 63))
-            admissible = _admissible_lengths(
-                word_length, units[lift], common, options.max_common_blocks)
+            admissible = _admissible_lengths(word_length, units[lift], common)
             if not admissible:
                 continue
-            attempt_budget = replace(budget, word=replace(
-                budget.word, max_word_length=word_length,
+            attempt_budget = replace(COVER_BUDGET, word=replace(
+                COVER_BUDGET.word, max_word_length=word_length,
                 trace_margin=margin, admissible_lengths=admissible))
             try:
                 member, _cert = open_gap(lifts[lift], target, eps, sub_seed,
@@ -555,12 +540,11 @@ def _cover(data, R, eps, seed, budget, options):
     return members
 
 
-def cover_kappa(members: Sequence[Data], R: Optional[float] = None,
-                grid_points: int = 2048) -> float:
+def cover_kappa(members: Sequence[Data], R: Optional[float] = None) -> float:
     """Grid minimax Lyapunov exponent over [-R, R] (Dirac) or the circle
     (CMV): min over the grid of the best member exponent."""
     fam = _family(members[0])
-    grid = fam.grid(R, grid_points)
+    grid = fam.grid(R, COVER_GRID_POINTS)
     rows = np.vstack([fam.lyapunov(mem, grid) for mem in members])
     return float(np.min(np.max(rows, axis=0)))
 
@@ -622,8 +606,6 @@ def feasibility_threshold(m: int, block_ratio: int) -> int:
 
 def thin_spectrum(data: Data, R: Optional[float], eps: float, N: int,
                   seed: int, tol: float = 1e-8,
-                  budget: Optional[GapSearchBudget] = None,
-                  options: Optional[CoverOptions] = None,
                   cover: Optional[Sequence[Data]] = None,
                   ) -> tuple[Data, ConstructionReport]:
     """Build period-NT data within eps of the data whose spectrum in
@@ -634,24 +616,22 @@ def thin_spectrum(data: Data, R: Optional[float], eps: float, N: int,
     copies of the data, exactly as blocks of entries; N_hat is maximal
     with m (N_hat + 1) T' <= N T.
     """
-    return _thin(data, R, eps, N, seed, tol, budget, options, cover)
+    return _thin(data, R, eps, N, seed, tol, cover)
 
 
 def cmv_thin_spectrum(alpha: cmv.VerblunskyCycle, eps: float, N: int,
                       seed: int, tol: float = 1e-8,
-                      budget: Optional[GapSearchBudget] = None,
-                      options: Optional[CoverOptions] = None,
                       cover: Optional[Sequence[cmv.VerblunskyCycle]] = None,
                       ) -> tuple[cmv.VerblunskyCycle, ConstructionReport]:
     """Period-Nq Verblunsky data within eps of alpha (Poincare metric)
     whose spectrum has small angular measure."""
-    return _thin(alpha, None, eps, N, seed, tol, budget, options, cover)
+    return _thin(alpha, None, eps, N, seed, tol, cover)
 
 
-def _thin(data, R, eps, N, seed, tol, budget, options, cover):
+def _thin(data, R, eps, N, seed, tol, cover):
     fam = _family(data)
     members = list(cover) if cover is not None else resolvent_cover(
-        data, R, eps, seed, budget, options)
+        data, R, eps, seed)
     T = fam.period(data)
     Tp = fam.period(members[0])
     for mem in members:

@@ -25,6 +25,8 @@ from .errors import BandCountExceeded, NotElliptic, NotInBandInterior
 
 # Refuse density-of-states evaluation when |D| is this close to 2.
 DOS_EDGE_MARGIN = 1e-6
+# Gauss-Legendre nodes per segment of the density-of-states period average.
+DOS_NODES_PER_SEGMENT = 24
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,11 @@ def discriminant(phi: PiecewisePotential, lam: float) -> float:
 
 def band_count_bound(phi: PiecewisePotential, R: float) -> int:
     """Upper bound on the number of bands meeting [-R, R]."""
-    return int(math.floor(2.0 * ((phi.period / math.pi) * (R + phi.sup_norm) + 1.0)))
+    return _band_count_bound(phi.period, phi.sup_norm, R)
+
+
+def _band_count_bound(period: float, sup: float, R: float) -> int:
+    return int(math.floor(2.0 * ((period / math.pi) * (R + sup) + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -314,14 +320,6 @@ class BandSet:
     @property
     def measure(self) -> float:
         return float(sum(b - a for a, b in self.intervals))
-
-    def distance(self, lam: float) -> float:
-        if not self.intervals:
-            return math.inf
-        return min(max(a - lam, lam - b, 0.0) for a, b in self.intervals)
-
-    def contains(self, lam: float, tol: float = 0.0) -> bool:
-        return self.distance(lam) <= tol
 
 
 def bands(phi: PiecewisePotential, R: float, tol: float,
@@ -340,22 +338,23 @@ def bands(phi: PiecewisePotential, R: float, tol: float,
 
 
 def bands_of_groups(groups: Sequence[tuple[PiecewisePotential, int]],
-                    R: float, tol: float, oversample: float = 1.0) -> BandSet:
+                    R: float, tol: float) -> BandSet:
     """bands() for a concatenation given as (block, repetitions) groups,
     evaluated through the grouped profile for speed."""
     period = sum(block.period * reps for block, reps in groups)
     sup = max(block.sup_norm for block, _ in groups)
     return _scan_bands(lambda xs: grouped_discriminant_profile(groups, xs),
-                       period, sup, R, tol, oversample)
+                       period, sup, R, tol, 1.0)
 
 
 def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
-                oversample: float = 1.0) -> BandSet:
+                oversample: float) -> BandSet:
     if not tol > 0:
         raise ValueError("tol must be positive")
     spacing0 = math.pi / (8.0 * period * (1.0 + sup) * max(oversample, 1.0))
     npts = max(int(math.ceil(2.0 * R / spacing0)) + 1, 9)
     grid = np.linspace(-R, R, npts)
+    spacing = grid[1] - grid[0]
     D = profile(grid)
     inside = np.abs(D) <= 2.0
     if not inside.any():
@@ -365,14 +364,7 @@ def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
     if idx.size:
         lo = np.where(inside[idx], grid[idx], grid[idx + 1])   # inside end
         hi = np.where(inside[idx], grid[idx + 1], grid[idx])   # outside end
-        spacing = grid[1] - grid[0]
-        niter = max(int(math.ceil(math.log2(max(spacing / tol, 2.0)))) + 2, 4)
-        for _ in range(niter):
-            mid = 0.5 * (lo + hi)
-            inside_mid = np.abs(profile(mid)) <= 2.0
-            lo = np.where(inside_mid, mid, lo)
-            hi = np.where(inside_mid, hi, mid)
-        edges = 0.5 * (lo + hi)
+        edges = su11.bisect_band_edges(profile, lo, hi, spacing, tol)
     else:
         edges = np.empty(0)
 
@@ -393,7 +385,6 @@ def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
         i = j + 1
 
     # merge across numerically closed gaps
-    spacing = grid[1] - grid[0]
     merged: list[tuple[float, float]] = []
     for iv in intervals:
         if merged:
@@ -407,7 +398,7 @@ def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
         merged.append(iv)
 
     result = BandSet(intervals=tuple(merged), window=R)
-    bound = int(math.floor(2.0 * ((period / math.pi) * (R + sup) + 1.0)))
+    bound = _band_count_bound(period, sup, R)
     if result.count > bound:
         raise BandCountExceeded(
             f"{result.count} bands exceed the Floquet bound {bound}")
@@ -478,7 +469,7 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _dos_mean(phi: PiecewisePotential, lam: float, nodes_per_segment: int) -> float:
+def _dos_mean(phi: PiecewisePotential, lam: float) -> float:
     """(1/T) integral over a period of (1 + |s|^2) / (1 - |s|^2), with
     s(x) the disk fixed point of the monodromy based at x.
 
@@ -493,7 +484,7 @@ def _dos_mean(phi: PiecewisePotential, lam: float, nodes_per_segment: int) -> fl
     xi0 = su11.disk_fixed_point(M0)
     total = 0.0
     A = su11.IDENTITY.copy()
-    gx, gw = _gauss(nodes_per_segment)
+    gx, gw = _gauss(DOS_NODES_PER_SEGMENT)
     for length, c in phi.segments:
         u = (gx + 1.0) * (length / 2.0)
         for ui, wi in zip(u, gw * (length / 2.0)):
@@ -504,7 +495,7 @@ def _dos_mean(phi: PiecewisePotential, lam: float, nodes_per_segment: int) -> fl
     return total / phi.period
 
 
-def dos_density(phi: PiecewisePotential, lam: float, nodes_per_segment: int = 24) -> float:
+def dos_density(phi: PiecewisePotential, lam: float) -> float:
     """Density of states inside a band:
     (1/(pi T)) * integral over a period of (1+|s|^2)/(1-|s|^2) with s
     the disk fixed point of the monodromy based at x.  Each complete
@@ -513,11 +504,11 @@ def dos_density(phi: PiecewisePotential, lam: float, nodes_per_segment: int = 24
     D = discriminant(phi, lam)
     if abs(D) >= 2.0 - DOS_EDGE_MARGIN:
         raise NotInBandInterior(f"|D| = {abs(D):.9f} too close to 2")
-    return _dos_mean(phi, lam, nodes_per_segment) / math.pi
+    return _dos_mean(phi, lam) / math.pi
 
 
 def dos_band_weight(phi: PiecewisePotential, band: tuple[float, float],
-                    nodes: int = 48, nodes_per_segment: int = 24) -> float:
+                    nodes: int = 48) -> float:
     """Integral of the DOS density over one band; equals 1/T for a
     complete band.
 
@@ -541,7 +532,7 @@ def dos_band_weight(phi: PiecewisePotential, band: tuple[float, float],
                 continue
             lam = edge + sign * ui * ui
             try:
-                rho = _dos_mean(phi, lam, nodes_per_segment) / math.pi
+                rho = _dos_mean(phi, lam) / math.pi
             except NotElliptic as exc:
                 raise NotInBandInterior(
                     f"quadrature node {lam} left the band interior") from exc

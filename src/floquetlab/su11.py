@@ -371,30 +371,45 @@ def log_spectral_radius(trace: np.ndarray, logscale: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def bisect_band_edges(profile, lo: np.ndarray, hi: np.ndarray,
+                      spacing: float, tol: float) -> np.ndarray:
+    """Band edges to within tol, bisected between points lo inside the
+    spectrum (|profile| <= 2) and points hi outside it, at most spacing
+    apart; all brackets share one profile call per step."""
+    niter = max(int(math.ceil(math.log2(max(spacing / tol, 2.0)))) + 2, 4)
+    for _ in range(niter):
+        mid = 0.5 * (lo + hi)
+        inside_mid = np.abs(profile(mid)) <= 2.0
+        lo = np.where(inside_mid, mid, lo)
+        hi = np.where(inside_mid, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # Semigroup word search
 # ---------------------------------------------------------------------------
+
+# Most alternating power blocks in a word of the exhaustive search phase.
+MAX_RUNS = 8
+
 
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits for the hyperbolic-word search.
 
-    max_word_length counts letters with multiplicity; max_runs bounds the
-    number of alternating power blocks; trace_margin is the acceptance
-    threshold |trace| >= 2 + trace_margin; admissible_lengths, when given,
-    restricts the total word length to that set (the cover builder uses
-    divisors of a common block count so member periods match without an
-    lcm blow-up); max_nodes bounds the number of matrix products evaluated,
-    keeping the search deterministic and finite.
+    max_word_length counts letters with multiplicity; trace_margin is the
+    acceptance threshold |trace| >= 2 + trace_margin; admissible_lengths,
+    when given, restricts the total word length to that set (the cover
+    builder uses divisors of a common block count so member periods match
+    without an lcm blow-up); max_nodes bounds the number of matrix
+    products evaluated, keeping the search deterministic and finite.
     """
 
     max_word_length: int = 24
-    max_runs: int = 8
     trace_margin: float = 0.05
     trace_cap: float = math.inf
     admissible_lengths: Optional[frozenset[int]] = None
     max_nodes: int = 400_000
-    commutator_tol: float = GROUP_TOL
 
 
 @dataclass(frozen=True)
@@ -492,7 +507,7 @@ def hyperbolic_in_semigroup(A, B, budget: Optional[SearchBudget] = None) -> Semi
         cls = classify(M)
         if not cls.is_elliptic:
             raise NotElliptic(f"generator {name} is {cls.kind}, need elliptic")
-    if commutator_norm(A, B) <= budget.commutator_tol:
+    if commutator_norm(A, B) <= GROUP_TOL:
         raise CommutingInput("generators commute within tolerance")
 
     L = budget.max_word_length
@@ -545,7 +560,7 @@ def hyperbolic_in_semigroup(A, B, budget: Optional[SearchBudget] = None) -> Semi
     for total in range(1, L + 1):
         if not length_ok(total):
             continue
-        for nruns in range(1, min(budget.max_runs, total) + 1):
+        for nruns in range(1, min(MAX_RUNS, total) + 1):
             for comp in _compositions(total, nruns):
                 for start in (0, 1):
                     runs = tuple(((start + i) % 2, k) for i, k in enumerate(comp))
@@ -559,5 +574,5 @@ def hyperbolic_in_semigroup(A, B, budget: Optional[SearchBudget] = None) -> Semi
                         raise WordNotFound(
                             f"budget {budget.max_nodes} nodes exhausted")
     raise WordNotFound(
-        f"no hyperbolic word within length {L}, runs {budget.max_runs}, "
+        f"no hyperbolic word within length {L}, runs {MAX_RUNS}, "
         f"margin {margin}")

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +251,37 @@ def test_bad_verblunsky_rows_exit_code(tmp_path, rows):
         out = tmp_path / command
         assert cli.main([command, "--config", p, "--out", str(out)]) == 2
         assert out.is_dir()
+
+
+@pytest.mark.parametrize("command, cfg, code, prefix", [
+    ("bands", {**FREE_CFG, "window": "x"}, 2, "config error:"),
+    ("bands", {**FREE_CFG, "tol": "abc"}, 2, "config error:"),
+    ("bands", {**FREE_CFG, "potential": [[0.0, 0, 0]]}, 2, "config error:"),
+    ("open-gap", {**FREE_CFG, "seed": "abc", "open_gap": {"target": 1.0}},
+     2, "config error:"),
+    ("open-gap", {**FREE_CFG, "seed": 1, "open_gap": {"target": "q"}},
+     2, "config error:"),
+    # a coefficient outside the disk is a numerical error, not a config one
+    ("bands", {**CMV_CFG, "verblunsky": [[1.5, 0.0]]}, 3, "error:"),
+], ids=["window", "tol", "segment", "seed", "target", "out-of-disk"])
+def test_bad_config_values_exit_code(tmp_path, capsys, command, cfg, code,
+                                     prefix):
+    rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == code
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("cfg, code, stderr", [
+    (FREE_CFG, 0, ""),
+    ({**FREE_CFG, "window": "x"}, 2,
+     "config error: window must be a number, got 'x'\n"),
+], ids=["free", "bad-window"])
+def test_python_m_entry_point(tmp_path, cfg, code, stderr):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "floquetlab", "bands",
+         "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
