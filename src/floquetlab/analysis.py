@@ -11,12 +11,12 @@ sizes obey the Gordon-compatible recursion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import cmv, construct, dirac, su11
+from . import cmv, construct, dirac
 from .errors import EmptySet, StageInfeasible, WordNotFound
 
 SpectrumSet = Union[dirac.BandSet, cmv.ArcSet]
@@ -229,7 +229,7 @@ class Stage:
             "spectrum": [list(iv) for iv in self.spectrum.intervals],
             "target": self.target,
             "epsilon": self.epsilon,
-            "segments": [[l, v.real, v.imag] for l, v in self.data.segments],
+            "segments": self.data.rows,
         }
 
 
@@ -269,6 +269,9 @@ def step_bound(previous_eps: float, n: int, period: float, measure: float) -> fl
 STAGE_LADDER: tuple[tuple[int, int, float], ...] = (
     (8, 1, 0.05), (8, 1, 0.01), (4, 1, 0.01), (4, 2, 0.01), (2, 4, 0.008),
     (1, 8, 0.006), (1, 8, 0.004), (2, 3, 0.004), (1, 6, 0.004))
+# Gap search of a stage attempt; each ladder rung sets length and margin.
+STAGE_BUDGET = construct.GapSearchBudget(
+    max_samples=400, resonant_proposals=True, trace_cap=4.0, max_nodes=20_000)
 
 
 def _stage_targets(spectrum: dirac.BandSet, period: float) -> list[float]:
@@ -335,11 +338,8 @@ def build_schedule(phi0: dirac.PiecewisePotential, eps: float, n_max: int,
             for lift, word_length, margin in STAGE_LADDER:
                 sub_seed = int(rng.integers(2 ** 63))
                 lifted = data.repeated(lift) if lift > 1 else data
-                budget = construct.GapSearchBudget(
-                    max_samples=400, resonant_proposals=True,
-                    word=su11.SearchBudget(
-                        max_word_length=word_length, trace_margin=margin,
-                        trace_cap=4.0, max_nodes=20_000))
+                budget = replace(STAGE_BUDGET, max_word_length=word_length,
+                                 trace_margin=margin)
                 try:
                     phit, cert = construct.open_gap(
                         lifted, lam_target, eps_allow, sub_seed, budget)

@@ -54,6 +54,29 @@ def _number(value, name: str, convert=float):
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
+def _positive(value, name: str) -> float:
+    number = _number(value, name)
+    if not number > 0:
+        raise ConfigError(f"{name} must be positive")
+    return number
+
+
+def _numbers(section: dict, name: str, convert=float) -> list:
+    """A list of numbers in a config section; missing or empty reads as []."""
+    values = section.get(name) or []
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return [_number(v, name, convert) for v in values]
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """A config section: an object, empty when missing."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {section!r}")
+    return section
+
+
 def _data_from(cfg: dict, kind: str):
     """The operator data of the config: a potential or a Verblunsky cycle."""
     fam = construct.FAMILIES[kind]
@@ -81,10 +104,7 @@ def _require_seed(cfg: dict, args) -> int:
 
 
 def _tol(cfg: dict) -> float:
-    tol = _number(cfg.get("tol", 1e-8), "tol")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    return tol
+    return _positive(cfg.get("tol", 1e-8), "tol")
 
 
 def _out_dir(args) -> Path:
@@ -119,14 +139,15 @@ def cmd_bands(cfg: dict, args) -> int:
     tol = _tol(cfg)
     out = _out_dir(args)
     fam = construct.FAMILIES[kind]
-    intervals = fam.intervals(fam.bands(
+    spectrum = fam.bands(
         _data_from(cfg, kind), _number(cfg.get("window", 3.0), "window"), tol,
-        _number(cfg.get("oversample", 1.0), "oversample")))
+        _number(cfg.get("oversample", 1.0), "oversample"))
+    intervals = fam.intervals(spectrum)
     rows = [[i, a, b, b - a] for i, (a, b) in enumerate(intervals)]
     summary = {
         "kind": kind,
         "count": len(intervals),
-        "measure": float(sum(b - a for a, b in intervals)),
+        "measure": spectrum.measure,
         "bands": [[a, b] for a, b in intervals],
     }
     _write_text(out / "bands.csv",
@@ -141,7 +162,7 @@ def cmd_dos(cfg: dict, args) -> int:
     tol = _tol(cfg)
     out = _out_dir(args)
     R = _number(cfg.get("window", 3.0), "window")
-    nodes = _number(cfg.get("dos", {}).get("nodes", 48), "nodes", int)
+    nodes = _number(_section(cfg, "dos").get("nodes", 48), "nodes", int)
     bandset = dirac.bands(phi, R, tol)
     rows = []
     for i, (a, b) in enumerate(bandset.intervals):
@@ -199,8 +220,8 @@ def cmd_open_gap(cfg: dict, args) -> int:
     kind = _kind(cfg)
     out = _out_dir(args)
     seed = _require_seed(cfg, args)
-    gap_cfg = cfg.get("open_gap", {})
-    eps = _number(gap_cfg.get("epsilon", 0.2), "epsilon")
+    gap_cfg = _section(cfg, "open_gap")
+    eps = _positive(gap_cfg.get("epsilon", 0.2), "epsilon")
     if "target" not in gap_cfg:
         raise ConfigError("open_gap config needs 'target'")
     target = _number(gap_cfg["target"], "target")
@@ -221,9 +242,9 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
     out = _out_dir(args)
     seed = _require_seed(cfg, args)
     tol = _tol(cfg)
-    ccfg = cfg.get("construction", {})
-    eps = _number(ccfg.get("epsilon", 0.3), "epsilon")
-    n_values = ccfg.get("n_values")
+    ccfg = _section(cfg, "construction")
+    eps = _positive(ccfg.get("epsilon", 0.3), "epsilon")
+    n_values = _numbers(ccfg, "n_values", int)
     summary_rows = []
     reports = []
     partial_error: Optional[SearchFailure] = None
@@ -238,7 +259,6 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
         if not n_values:
             n_values = [n0, n0 + m * ratio, n0 + 2 * m * ratio]
         for N in n_values:
-            N = _number(N, "n_values", int)
             _, report = construct.thin_spectrum(
                 data, R, eps, N, seed, tol=tol, cover=cover)
             reports.append(report)
@@ -298,12 +318,12 @@ def cmd_dimension(cfg: dict, args) -> int:
     out = _out_dir(args)
     seed = _require_seed(cfg, args)
     tol = _tol(cfg)
-    dcfg = cfg.get("dimension", {})
+    dcfg = _section(cfg, "dimension")
     phi = _data_from(cfg, "dirac")
-    eps = _number(dcfg.get("epsilon", 0.4), "epsilon")
+    eps = _positive(dcfg.get("epsilon", 0.4), "epsilon")
     n_stages = _number(dcfg.get("n_stages", 2), "n_stages", int)
     window = _number(dcfg.get("window", 0.5), "window")
-    scales = dcfg.get("scales") or [2.0 ** -k for k in range(3, 11)]
+    scales = _numbers(dcfg, "scales") or [2.0 ** -k for k in range(3, 11)]
     schedule = analysis.build_schedule(phi, eps, n_stages, seed,
                                        window=window, tol=tol)
     stage_docs = []
@@ -328,12 +348,13 @@ def cmd_dimension(cfg: dict, args) -> int:
 def cmd_gordon(cfg: dict, args) -> int:
     kind = _kind(cfg)
     out = _out_dir(args)
-    gcfg = cfg.get("gordon", {})
+    gcfg = _section(cfg, "gordon")
     q = gcfg.get("q")
     if q is None:
         raise ConfigError("gordon config needs 'q'")
     C = _number(gcfg.get("c", 2.0), "c")
-    value = analysis.gordon_defect(_data_from(cfg, kind), q, C)
+    # q is checked as a number but written as given (1 stays 1)
+    value = analysis.gordon_defect(_data_from(cfg, kind), _number(q, "q"), C)
     doc = {"kind": kind, "q": q, "c": C, "defect": value}
     _write_text(out / "gordon.json", _json_text(doc), "json", args.format)
     _write_text(out / "gordon.csv",

@@ -214,8 +214,7 @@ def _scan_arcs(profile, q: int, tol: float) -> ArcSet:
         raise ValueError("tol must be positive")
     npts = max(4096, 64 * q)
     grid = np.linspace(0.0, TWO_PI, npts, endpoint=False)
-    D = profile(grid)
-    inside = np.abs(D) <= 2.0
+    inside = np.abs(profile(grid)) <= 2.0
     if not inside.any():
         return ArcSet(arcs=())
     if inside.all():
@@ -224,40 +223,22 @@ def _scan_arcs(profile, q: int, tol: float) -> ArcSet:
     spacing = TWO_PI / npts
     # close the scan cyclically: transitions between i and i+1 mod npts
     trans = np.flatnonzero(inside != np.roll(inside, -1))
-    lo = np.where(inside[trans], grid[trans], (grid[trans] + spacing))
-    hi = np.where(inside[trans], (grid[trans] + spacing), grid[trans])
+    exits = inside[trans]                    # inside -> outside edges
+    lo = np.where(exits, grid[trans], grid[trans] + spacing)
+    hi = np.where(exits, grid[trans] + spacing, grid[trans])
     edges = su11.bisect_band_edges(profile, lo, hi, spacing, tol) % TWO_PI
 
-    # assemble runs of inside points cyclically, then cut at theta = 0
+    # an arc ends at each inside -> outside edge and starts at the edge
+    # before it, cyclically; an arc across theta = 0 is cut there
     arcs: list[tuple[float, float]] = []
-    for k, i in enumerate(trans):
-        # arc ends at transition i (inside -> outside); it began at the
-        # previous outside -> inside transition, k - 1 cyclically
-        if not inside[i]:
-            continue
-        start = float(edges[k - 1])
-        end = float(edges[k])
-        arcs.append((start, end))
-    normalized: list[tuple[float, float]] = []
-    for a, b in arcs:
-        if b < a:
-            normalized.append((a, TWO_PI))
-            normalized.append((0.0, b))
-        else:
-            normalized.append((a, b))
-    normalized.sort()
-    return ArcSet(arcs=tuple(normalized))
+    for a, b in zip(np.roll(edges, 1)[exits].tolist(), edges[exits].tolist()):
+        arcs += [(a, TWO_PI), (0.0, b)] if b < a else [(a, b)]
+    return ArcSet(arcs=tuple(sorted(arcs)))
 
 
 def cmv_lyapunov(alpha: VerblunskyCycle, theta: float) -> float:
     """(1/q) log spectral radius of the monodromy; zero exactly on arcs."""
-    D = cmv_discriminant(alpha, theta)
-    a = abs(D)
-    if a <= 2.0:
-        return 0.0
-    if a > 1e15:
-        return math.log(a) / alpha.q
-    return math.log((a + math.sqrt(a * a - 4.0)) / 2.0) / alpha.q
+    return float(cmv_lyapunov_profile(alpha, [theta])[0])
 
 
 def cmv_lyapunov_profile(alpha: VerblunskyCycle, thetas) -> np.ndarray:

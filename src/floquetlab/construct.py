@@ -24,7 +24,7 @@ pragmatic caps of an argument without effective bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -48,11 +48,11 @@ COMMUTATOR_MIN = 1e-3
 
 
 @dataclass(frozen=True)
-class GapSearchBudget:
+class GapSearchBudget(su11.SearchBudget):
     """Limits for the randomized gap-opening search.
 
-    max_samples bounds the number of perturbation candidates per call.
-    The word budget fixes the semigroup search (length <= 24 by default:
+    max_samples bounds the number of perturbation candidates per call;
+    the inherited fields bound the word search (length <= 24 by default:
     the underlying existence lemma gives no length bound, so this is a
     pragmatic cap).  With resonant_proposals, every other candidate
     follows the Fourier mode matched to the target energy instead of
@@ -63,7 +63,6 @@ class GapSearchBudget:
 
     max_samples: int = 1000
     resonant_proposals: bool = False
-    word: su11.SearchBudget = field(default_factory=su11.SearchBudget)
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,13 @@ class Family:
     intervals: Callable                      # spectrum -> its intervals
 
 
+# Resonant proposal shapes by mode count: (main divisor, low, span, side
+# modes, side divisor).  The single full-strength mode opens a gap about
+# its amplitude to either side of its lattice crossing.
+RESONANT_MODES = {1: (1.0, 0.7, 0.3, 0, 1.0), 2: (2.0, 0.7, 0.3, 1, 2.0),
+                  4: (2.0, 0.5, 0.5, 3, 6.0)}
+
+
 def _resonant_potential(phi: dirac.PiecewisePotential,
                         rng: np.random.Generator, radius: float,
                         lam: float) -> dirac.PiecewisePotential:
@@ -148,28 +154,15 @@ def _resonant_potential(phi: dirac.PiecewisePotential,
     direction = -1.0 if lam >= 0 else 1.0
     nu_star = round(abs(lam) * T / math.pi)
     nu_max = max(3, nu_star + 2, round(1.4 * abs(lam) * T / math.pi))
-    nmodes = int(rng.choice([1, 2, 4]))
-    if nmodes == 1:
-        # full-strength single mode: the opened gap reaches about the
-        # mode amplitude to either side of its lattice crossing
-        modes = [(nu_star + int(rng.integers(-1, 2)),
-                  radius * (0.7 + 0.3 * rng.uniform()),
-                  rng.uniform(0.0, TWO_PI))]
-    elif nmodes == 2:
-        modes = [(nu_star + int(rng.integers(-1, 2)),
-                  (radius / 2.0) * (0.7 + 0.3 * rng.uniform()),
-                  rng.uniform(0.0, TWO_PI)),
-                 (int(rng.integers(1, nu_max + 1)),
-                  (radius / 2.0) * rng.uniform(),
-                  rng.uniform(0.0, TWO_PI))]
-    else:
-        modes = [(nu_star + int(rng.integers(-1, 2)),
-                  (radius / 2.0) * (0.5 + 0.5 * rng.uniform()),
-                  rng.uniform(0.0, TWO_PI))]
-        for _ in range(3):
-            modes.append((int(rng.integers(1, nu_max + 1)),
-                          (radius / 6.0) * rng.uniform(),
-                          rng.uniform(0.0, TWO_PI)))
+    main_div, low, span, sides, side_div = RESONANT_MODES[
+        int(rng.choice(tuple(RESONANT_MODES)))]
+    modes = [(nu_star + int(rng.integers(-1, 2)),
+              (radius / main_div) * (low + span * rng.uniform()),
+              rng.uniform(0.0, TWO_PI))]
+    for _ in range(sides):
+        modes.append((int(rng.integers(1, nu_max + 1)),
+                      (radius / side_div) * rng.uniform(),
+                      rng.uniform(0.0, TWO_PI)))
     # the T/8 cap keeps the preserved first piece short, so the mode
     # retains nearly full strength even on two-block lifts
     h_target = min(math.pi / (2.0 * abs(lam) + 2.0), T / 8.0)
@@ -347,8 +340,8 @@ def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
     # the base must pass the group check; a partner that fails it is a
     # rejected sample
     su11.classify(M0)
-    single_ok = (budget.word.admissible_lengths is None
-                 or 1 in budget.word.admissible_lengths)
+    single_ok = (budget.admissible_lengths is None
+                 or 1 in budget.admissible_lengths)
     n = len(fam.entries(base))
     radius = fam.disk_radius(eps / 2.0)
     for trial in range(budget.max_samples):
@@ -363,7 +356,7 @@ def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
             t1 = su11.real_trace(M1)
         except NotInGroup:
             continue
-        if single_ok and 2.0 + budget.word.trace_margin < abs(t1) <= budget.word.trace_cap:
+        if single_ok and 2.0 + budget.trace_margin < abs(t1) <= budget.trace_cap:
             # the partner alone is hyperbolic: single-letter word
             word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
         elif abs(t1) > 2.0 - ELLIPTIC_MARGIN:
@@ -372,7 +365,7 @@ def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
             continue
         else:
             try:
-                word = su11.hyperbolic_in_semigroup(M0, M1, budget.word)
+                word = su11.hyperbolic_in_semigroup(M0, M1, budget)
             except (WordNotFound, CommutingInput, NotElliptic, NotInGroup):
                 continue
         blocks = (base, partner)
@@ -395,8 +388,7 @@ def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
         f"{fam.target_name}={target}")
 
 
-def verify_gap_certificate(data: Data, cert: GapCertificate,
-                           tol: float = 1e-8) -> dict:
+def verify_gap_certificate(data: Data, cert: GapCertificate) -> dict:
     """Independent re-verification of a certificate's claims."""
     fam = _family(data)
     checks: dict[str, bool] = {}
@@ -407,9 +399,9 @@ def verify_gap_certificate(data: Data, cert: GapCertificate,
         M1 = fam.monodromy(cert.partner, cert.target)
         product = cert.word.evaluate(M0, M1)
         checks["word_reproduces"] = (
-            su11.max_entry_norm(product - cert.word.matrix) <= tol)
+            su11.max_entry_norm(product - cert.word.matrix) <= 1e-8)
         checks["word_hyperbolic"] = abs(su11.real_trace(product)) > 2.0
-        checks["trace_matches"] = abs(D - su11.real_trace(product)) <= tol * max(1.0, abs(D))
+        checks["trace_matches"] = abs(D - su11.real_trace(product)) <= 1e-8 * max(1.0, abs(D))
     return checks
 
 
@@ -437,9 +429,8 @@ MAX_MEMBERS = 96
 COVER_GRID_POINTS = 2048
 # Gap search of one cover member; each ladder rung sets the word length,
 # the trace margin and the admissible lengths.
-COVER_BUDGET = GapSearchBudget(
-    max_samples=150, resonant_proposals=True,
-    word=su11.SearchBudget(max_nodes=60_000, trace_cap=4.0))
+COVER_BUDGET = GapSearchBudget(max_samples=150, resonant_proposals=True,
+                               max_nodes=60_000, trace_cap=4.0)
 
 
 def _admissible_lengths(max_len: int, lift: int,
@@ -515,9 +506,9 @@ def _cover(data, R, eps, seed):
             admissible = _admissible_lengths(word_length, units[lift], common)
             if not admissible:
                 continue
-            attempt_budget = replace(COVER_BUDGET, word=replace(
-                COVER_BUDGET.word, max_word_length=word_length,
-                trace_margin=margin, admissible_lengths=admissible))
+            attempt_budget = replace(
+                COVER_BUDGET, max_word_length=word_length,
+                trace_margin=margin, admissible_lengths=admissible)
             try:
                 member, _cert = open_gap(lifts[lift], target, eps, sub_seed,
                                          attempt_budget)

@@ -355,34 +355,21 @@ def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
     npts = max(int(math.ceil(2.0 * R / spacing0)) + 1, 9)
     grid = np.linspace(-R, R, npts)
     spacing = grid[1] - grid[0]
-    D = profile(grid)
-    inside = np.abs(D) <= 2.0
-    if not inside.any():
-        return BandSet(intervals=(), window=R)
+    inside = np.abs(profile(grid)) <= 2.0
 
     idx = np.flatnonzero(inside[:-1] != inside[1:])
+    exits = inside[idx]                      # inside -> outside edges
+    edges = np.empty(0)
     if idx.size:
-        lo = np.where(inside[idx], grid[idx], grid[idx + 1])   # inside end
-        hi = np.where(inside[idx], grid[idx + 1], grid[idx])   # outside end
+        lo = np.where(exits, grid[idx], grid[idx + 1])   # inside end
+        hi = np.where(exits, grid[idx + 1], grid[idx])   # outside end
         edges = su11.bisect_band_edges(profile, lo, hi, spacing, tol)
-    else:
-        edges = np.empty(0)
 
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    n = len(grid)
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and inside[j + 1]:
-            j += 1
-        left = -R if i == 0 else float(edges[np.searchsorted(idx, i - 1)])
-        right = R if j == n - 1 else float(edges[np.searchsorted(idx, j)])
-        if right > left:
-            intervals.append((left, right))
-        i = j + 1
+    # a band starts at an outside -> inside edge (or at -R) and ends at
+    # the next inside -> outside edge (or at R)
+    starts = ([-R] if inside[0] else []) + edges[~exits].tolist()
+    ends = edges[exits].tolist() + ([R] if inside[-1] else [])
+    intervals = [(a, b) for a, b in zip(starts, ends) if b > a]
 
     # merge across numerically closed gaps
     merged: list[tuple[float, float]] = []
@@ -414,7 +401,7 @@ def lyapunov_profile(phi: PiecewisePotential, lams) -> np.ndarray:
     return su11.log_spectral_radius(*_trace_profile(phi, lams)) / phi.period
 
 
-def _scaled_monodromy(phi: PiecewisePotential, z, base: float = 0.0) -> tuple[np.ndarray, float]:
+def _scaled_monodromy(phi: PiecewisePotential, z) -> tuple[np.ndarray, float]:
     """Monodromy as (matrix, logscale) with the true matrix M * exp(logscale)."""
     M = su11.IDENTITY.copy()
     logscale = 0.0
@@ -424,10 +411,6 @@ def _scaled_monodromy(phi: PiecewisePotential, z, base: float = 0.0) -> tuple[np
         if mx > su11.RESCALE_AT:
             M = M / mx
             logscale += math.log(mx)
-    if base != 0.0:
-        # conjugate by the transfer from 0 to the base point
-        G = transfer(phi, 0.0, base, z)
-        M = G @ M @ su11.sl2_inverse(G)
     return M, logscale
 
 

@@ -72,8 +72,9 @@ def su11_defect(M) -> float:
     return max(max_entry_norm(form), abs(det2(M) - 1.0))
 
 
-def is_su11(M, tol: float = GROUP_TOL) -> bool:
-    return su11_defect(M) <= tol
+def _require_group(M) -> None:
+    if not su11_defect(M) <= GROUP_TOL:     # a NaN defect fails too
+        raise NotInGroup(f"su11_defect = {su11_defect(M):.3e} exceeds {GROUP_TOL}")
 
 
 def real_trace(M, tol: float = GROUP_TOL) -> float:
@@ -112,15 +113,14 @@ class Su11Class:
         return self.kind == "parabolic"
 
 
-def classify(M, tol: float = GROUP_TOL) -> Su11Class:
+def classify(M) -> Su11Class:
     """Classify an SU(1,1) matrix by its (real) trace.
 
     Traces within PARABOLIC_TOL of +-2 are reported parabolic; callers
     treat that as "needs perturbation".
     """
-    if not is_su11(M, tol):
-        raise NotInGroup(f"su11_defect = {su11_defect(M):.3e} exceeds {tol}")
-    t = real_trace(M, tol)
+    _require_group(M)
+    t = real_trace(M)
     if abs(abs(t) - 2.0) <= PARABOLIC_TOL:
         return Su11Class(kind="parabolic", sign=+1 if t > 0 else -1)
     if abs(t) < 2.0:
@@ -144,7 +144,7 @@ def mobius_apply(M, z):
     return num / den
 
 
-def disk_fixed_point(M, tol: float = GROUP_TOL) -> complex:
+def disk_fixed_point(M) -> complex:
     """The unique fixed point in the open unit disk of an elliptic matrix.
 
     Solves c xi^2 + (d - a) xi - b = 0 and selects the root inside the
@@ -152,9 +152,8 @@ def disk_fixed_point(M, tol: float = GROUP_TOL) -> complex:
     trace strictly inside (-2, 2); hyperbolic and parabolic matrices
     have no disk fixed point.
     """
-    if not is_su11(M, tol):
-        raise NotInGroup(f"su11_defect = {su11_defect(M):.3e} exceeds {tol}")
-    t = real_trace(M, tol)
+    _require_group(M)
+    t = real_trace(M)
     if not abs(t) < 2.0:
         raise NotElliptic(f"trace {t} is not in (-2, 2)")
     a, b = complex(M[0, 0]), complex(M[0, 1])
@@ -171,13 +170,13 @@ def disk_fixed_point(M, tol: float = GROUP_TOL) -> complex:
     return xi
 
 
-def conjugate_to_rotation(M, tol: float = GROUP_TOL) -> np.ndarray:
+def conjugate_to_rotation(M) -> np.ndarray:
     """B in SU(1,1) with B M B^-1 diagonal, built from the disk fixed point.
 
     With xi the fixed point, B = (1 - |xi|^2)^(-1/2) [[1, -xi], [-conj(xi), 1]];
     its squared Hilbert-Schmidt norm is 2 (1 + |xi|^2) / (1 - |xi|^2).
     """
-    xi = disk_fixed_point(M, tol)
+    xi = disk_fixed_point(M)
     s = 1.0 / math.sqrt(1.0 - abs(xi) ** 2)
     return mat2(s, -s * xi, -s * xi.conjugate(), s)
 
@@ -187,13 +186,12 @@ def hs_norm_sq(M) -> float:
     return float(np.sum(np.abs(M) ** 2))
 
 
-def cayley_to_sl2r(M, tol: float = GROUP_TOL) -> np.ndarray:
+def cayley_to_sl2r(M) -> np.ndarray:
     """Map SU(1,1) to SL(2,R): returns W* M W, which has real entries.
 
     Round trip: W (W* M W) W* = M since W is unitary.
     """
-    if not is_su11(M, tol):
-        raise NotInGroup(f"su11_defect = {su11_defect(M):.3e} exceeds {tol}")
+    _require_group(M)
     return CAYLEY_W.conj().T @ np.asarray(M, dtype=complex) @ CAYLEY_W
 
 

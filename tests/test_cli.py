@@ -263,7 +263,21 @@ def test_bad_verblunsky_rows_exit_code(tmp_path, rows):
      2, "config error:"),
     # a coefficient outside the disk is a numerical error, not a config one
     ("bands", {**CMV_CFG, "verblunsky": [[1.5, 0.0]]}, 3, "error:"),
-], ids=["window", "tol", "segment", "seed", "target", "out-of-disk"])
+    ("open-gap", {**FREE_CFG, "seed": 1,
+                  "open_gap": {"target": 1.0, "epsilon": 0}},
+     2, "config error:"),
+    ("thin", {**FREE_CFG, "seed": 1, "construction": {"epsilon": -0.1}},
+     2, "config error:"),
+    ("gordon", {**FREE_CFG, "gordon": {"q": "x"}}, 2, "config error:"),
+    ("dos", {**FREE_CFG, "dos": 5}, 2, "config error:"),
+    ("open-gap", {**FREE_CFG, "seed": 1, "open_gap": [1]}, 2, "config error:"),
+    ("dimension", {**FREE_CFG, "seed": 1, "dimension": {"scales": ["a"]}},
+     2, "config error:"),
+    ("thin", {**FREE_CFG, "seed": 1, "construction": {"n_values": 5}},
+     2, "config error:"),
+], ids=["window", "tol", "segment", "seed", "target", "out-of-disk",
+        "zero-epsilon", "negative-epsilon", "q", "dos-section",
+        "open-gap-section", "scales", "n-values"])
 def test_bad_config_values_exit_code(tmp_path, capsys, command, cfg, code,
                                      prefix):
     rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),

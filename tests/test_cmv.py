@@ -177,6 +177,16 @@ def test_arc_presentation_merges_across_zero():
     assert abs(sum(b - a for a, b in merged) - arcs.measure) < 1e-12
 
 
+def test_scanned_arc_across_zero_is_cut_there():
+    alpha = cmv.VerblunskyCycle.from_values(
+        [(-0.3 + 0.1j), (-0.4 + 0.2j), (0.3 - 0.5j), (0.4 + 0.3j)])
+    assert abs(cmv.cmv_discriminant(alpha, 0.0)) < 2.0
+    arcs = cmv.cmv_bands(alpha, 1e-8)
+    assert arcs.arcs[0][0] == 0.0
+    assert arcs.arcs[-1][1] == TWO_PI
+    assert len(arcs.merged_presentation()) == arcs.count - 1
+
+
 def test_poincare_identity_and_value():
     assert cmv.poincare_delta([0.0], [0.0]) == 0.0
     assert abs(cmv.poincare_delta([0.0], [0.5]) - math.atanh(0.5)) < 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from floquetlab import cmv, construct, dirac
+from floquetlab import cmv, construct, dirac, su11
 from floquetlab.errors import NTooSmall
 
 FREE = dirac.PiecewisePotential.free(1.0)
@@ -38,6 +38,22 @@ def test_open_gap_band_edge_takes_case3():
     assert cert.distance < 0.2
     checks = construct.verify_gap_certificate(phit, cert)
     assert checks["gap_open"]
+
+
+def test_open_gap_passes_word_limits_to_word_search(monkeypatch):
+    seen = []
+
+    def spy(A, B, budget=None, _fn=su11.hyperbolic_in_semigroup):
+        seen.append(budget)
+        return _fn(A, B, budget)
+    monkeypatch.setattr(su11, "hyperbolic_in_semigroup", spy)
+    budget = construct.GapSearchBudget(max_nodes=50_000, max_word_length=20,
+                                       trace_margin=0.04)
+    construct.open_gap(FREE, math.pi / 2, 0.2, seed=7, budget=budget)
+    assert seen
+    for got in seen:
+        assert (got.max_nodes, got.max_word_length, got.trace_margin) == (
+            50_000, 20, 0.04)
 
 
 def test_open_gap_deterministic():
