@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import cmv, construct, dirac
-from .errors import EmptySet, StageInfeasible, WordNotFound
+from .errors import EmptySet, StageInfeasible
 
 SpectrumSet = Union[dirac.BandSet, cmv.ArcSet]
 
@@ -271,7 +271,7 @@ STAGE_LADDER: tuple[tuple[int, int, float], ...] = (
     (1, 8, 0.006), (1, 8, 0.004), (2, 3, 0.004), (1, 6, 0.004))
 # Gap search of a stage attempt; each ladder rung sets length and margin.
 STAGE_BUDGET = construct.GapSearchBudget(
-    max_samples=400, resonant_proposals=True, trace_cap=4.0, max_nodes=20_000)
+    max_samples=400, resonant_proposals=True, trace_cap=4.0)
 
 
 def _stage_targets(spectrum: dirac.BandSet, period: float) -> list[float]:
@@ -338,12 +338,14 @@ def build_schedule(phi0: dirac.PiecewisePotential, eps: float, n_max: int,
             for lift, word_length, margin in STAGE_LADDER:
                 sub_seed = int(rng.integers(2 ** 63))
                 lifted = data.repeated(lift) if lift > 1 else data
-                budget = replace(STAGE_BUDGET, max_word_length=word_length,
-                                 trace_margin=margin)
+                budget = replace(
+                    STAGE_BUDGET,
+                    word_lengths=frozenset(range(1, word_length + 1)),
+                    trace_margin=margin)
                 try:
                     phit, cert = construct.open_gap(
                         lifted, lam_target, eps_allow, sub_seed, budget)
-                except (construct.BudgetExhausted, WordNotFound):
+                except construct.BudgetExhausted:
                     continue
                 new_spectrum = dirac.bands(phit, window, tol,
                                            oversample=oversample)

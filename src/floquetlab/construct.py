@@ -305,43 +305,41 @@ def open_gap(data: Data, target: float, eps: float, seed: int,
         raise ValueError("eps must be positive")
     budget = budget or GapSearchBudget()
     rng = np.random.default_rng(seed)
-    return _open_gap(_family(data), data, data, target, eps, rng, budget,
-                     0, ())
-
-
-cmv_open_gap = open_gap
-
-
-def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
-    D0 = fam.discriminant(data, target)
-    if abs(D0) > 2.0 + su11.PARABOLIC_TOL:
-        return data, GapCertificate(
-            kind=fam.kind, target=target, case=1, word=None, base=data,
-            partner=None, result_period=fam.period(data), achieved_trace=D0,
-            distance=_distance(orig, data), preperturbations=pre)
-
-    # Doubling a 1-cycle changes the discriminant (Chebyshev relation),
-    # so the case split looks at the prepared representation.
-    base = fam.prepare(data)
-    D = D0 if base is data else fam.discriminant(base, target)
-    if abs(D) >= 2.0 - ELLIPTIC_MARGIN:
+    fam, orig, pre = _family(data), data, ()
+    while True:
+        D0 = fam.discriminant(data, target)
+        if abs(D0) > 2.0 + su11.PARABOLIC_TOL:
+            return data, GapCertificate(
+                kind=fam.kind, target=target, case=1, word=None, base=data,
+                partner=None, result_period=fam.period(data),
+                achieved_trace=D0, distance=_distance(orig, data),
+                preperturbations=pre)
+        # Doubling a 1-cycle changes the discriminant (Chebyshev relation),
+        # so the case split looks at the prepared representation.
+        base = fam.prepare(data)
+        D = D0 if base is data else fam.discriminant(base, target)
+        if abs(D) < 2.0 - ELLIPTIC_MARGIN:
+            break
         # Case 3: parabolic or too close to it for a stable word search.
-        if depth >= CASE3_RETRIES:
+        if len(pre) >= CASE3_RETRIES:
             raise BudgetExhausted(
                 f"case-3 retries exhausted at {fam.target_name}={target}, "
                 f"|D|={abs(D):.6f}")
         k = 1 + int(rng.integers(len(fam.entries(base)) - 1))
         w = _disk_offset(rng, fam.disk_radius(eps / 2.0))
-        return _open_gap(fam, orig, _moved(fam, base, [(k, w)]), target,
-                         eps / 2.0, rng, budget, depth + 1, pre + (abs(w),))
+        data = _moved(fam, base, [(k, w)])
+        eps /= 2.0
+        pre += (abs(w),)
 
     # Case 2: elliptic monodromy; search for a noncommuting partner.
     M0 = fam.monodromy(base, target)
     # the base must pass the group check; a partner that fails it is a
     # rejected sample
     su11.classify(M0)
-    single_ok = (budget.admissible_lengths is None
-                 or 1 in budget.admissible_lengths)
+    single_ok = 1 in budget.word_lengths
+    # a single letter of an elliptic partner is elliptic, so without a
+    # longer admissible length no word search can succeed
+    words_ok = max(budget.word_lengths, default=0) > 1
     n = len(fam.entries(base))
     radius = fam.disk_radius(eps / 2.0)
     for trial in range(budget.max_samples):
@@ -356,12 +354,12 @@ def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
             t1 = su11.real_trace(M1)
         except NotInGroup:
             continue
-        if single_ok and 2.0 + budget.trace_margin < abs(t1) <= budget.trace_cap:
+        if single_ok and budget.accepts(t1):
             # the partner alone is hyperbolic: single-letter word
             word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
         elif abs(t1) > 2.0 - ELLIPTIC_MARGIN:
             continue
-        elif su11.commutator_norm(M0, M1) <= COMMUTATOR_MIN:
+        elif not words_ok or su11.commutator_norm(M0, M1) <= COMMUTATOR_MIN:
             continue
         else:
             try:
@@ -386,6 +384,9 @@ def _open_gap(fam, orig, data, target, eps, rng, budget, depth, pre):
     raise BudgetExhausted(
         f"no gap within {budget.max_samples} samples at "
         f"{fam.target_name}={target}")
+
+
+cmv_open_gap = open_gap
 
 
 def verify_gap_certificate(data: Data, cert: GapCertificate) -> dict:
@@ -427,10 +428,10 @@ KAPPA_THRESHOLD = 1e-3
 MAX_MEMBERS = 96
 # Grid of the cover search and of cover_kappa.
 COVER_GRID_POINTS = 2048
-# Gap search of one cover member; each ladder rung sets the word length,
-# the trace margin and the admissible lengths.
+# Gap search of one cover member; each ladder rung sets the admissible
+# word lengths and the trace margin.
 COVER_BUDGET = GapSearchBudget(max_samples=150, resonant_proposals=True,
-                               max_nodes=60_000, trace_cap=4.0)
+                               trace_cap=4.0)
 
 
 def _admissible_lengths(max_len: int, lift: int,
@@ -451,8 +452,8 @@ def resolvent_cover(data: Data, R: Optional[float], eps: float,
     best-member Lyapunov exponent until the grid minimax exceeds the
     positivity threshold.  Verification is numerical: a fine grid plus
     margin, not a rigorous enclosure.  Returns members sharing a period
-    that is a multiple of the data's, except for the degenerate
-    single-member case where the data itself already covers the window.
+    that is a multiple of the data's; when the data itself already
+    covers the window, the cover is [data].
     """
     return _cover(data, R, eps, seed)
 
@@ -466,30 +467,24 @@ def cmv_resolvent_cover(alpha: cmv.VerblunskyCycle, eps: float,
 def _cover(data, R, eps, seed):
     fam = _family(data)
     T = fam.period(data)
-    lifts = {lift: (data.repeated(lift) if lift > 1 else data)
-             for lift, _, _ in ATTEMPT_LADDER}
-    # a word letter is worth the prepared lift's period in base periods
-    # (two for a doubled 1-cycle)
-    units = {lift: int(round(fam.period(fam.prepare(lifted)) / T))
-             for lift, lifted in lifts.items()}
+    # every ladder lift is at least 6, so prepare never doubles a lifted
+    # cycle and a word letter is worth lift base periods
+    lifts = {lift: data.repeated(lift) for lift, _, _ in ATTEMPT_LADDER}
 
     rng = np.random.default_rng(seed)
     grid = fam.grid(R, COVER_GRID_POINTS)
 
     raw_members: list[Data] = []
-    rows: list[np.ndarray] = []
+    # Lyapunov rows are >= 0, so the -1 fill marks points no member covers
+    best = np.full(grid.size, -1.0)
     common = 1
 
     base_row = fam.lyapunov(data, grid)
     if base_row.max() > KAPPA_THRESHOLD:
         raw_members.append(data)
-        rows.append(base_row)
+        best = np.maximum(best, base_row)
 
     while True:
-        if rows:
-            best = np.max(np.vstack(rows), axis=0)
-        else:
-            best = np.full(grid.size, -1.0)
         worst = int(np.argmin(best))
         if best[worst] > KAPPA_THRESHOLD:
             break
@@ -503,27 +498,24 @@ def _cover(data, R, eps, seed):
         failure: Exception = BudgetExhausted("no attempts made")
         for lift, word_length, margin in ATTEMPT_LADDER:
             sub_seed = int(rng.integers(2 ** 63))
-            admissible = _admissible_lengths(word_length, units[lift], common)
+            admissible = _admissible_lengths(word_length, lift, common)
             if not admissible:
                 continue
-            attempt_budget = replace(
-                COVER_BUDGET, max_word_length=word_length,
-                trace_margin=margin, admissible_lengths=admissible)
+            attempt_budget = replace(COVER_BUDGET, word_lengths=admissible,
+                                     trace_margin=margin)
             try:
                 member, _cert = open_gap(lifts[lift], target, eps, sub_seed,
                                          attempt_budget)
                 break
-            except (BudgetExhausted, WordNotFound) as exc:
+            except BudgetExhausted as exc:
                 failure = exc
         if member is None:
             raise BudgetExhausted(
                 f"gap opening failed at {fam.point_name} {target}: {failure}")
         common = math.lcm(common, int(round(fam.period(member) / T)))
         raw_members.append(member)
-        rows.append(fam.lyapunov(member, grid))
+        best = np.maximum(best, fam.lyapunov(member, grid))
 
-    if len(raw_members) == 1 and raw_members[0] is data:
-        return [data]
     members = []
     for member in raw_members:
         reps = int(round(common * T / fam.period(member)))
@@ -635,8 +627,6 @@ def _thin(data, R, eps, N, seed, tol, cover):
         raise NTooSmall(f"N={N} below feasibility threshold N0={n0} "
                         f"(m={m}, {fam.period_symbol}'={Tp})")
     n_hat = N // (m * ratio) - 1
-    if (n_hat + 1) * m * ratio > N:
-        n_hat -= 1
     groups = [(mem, n_hat + 1) for mem in members]
     remainder = N - m * (n_hat + 1) * ratio
     if remainder > 0:

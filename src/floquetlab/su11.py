@@ -389,25 +389,26 @@ def bisect_band_edges(profile, lo: np.ndarray, hi: np.ndarray,
 
 # Most alternating power blocks in a word of the exhaustive search phase.
 MAX_RUNS = 8
+# Most matrix products one word search evaluates.
+MAX_NODES = 400_000
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits for the hyperbolic-word search.
 
-    max_word_length counts letters with multiplicity; trace_margin is the
-    acceptance threshold |trace| >= 2 + trace_margin; admissible_lengths,
-    when given, restricts the total word length to that set (the cover
-    builder uses divisors of a common block count so member periods match
-    without an lcm blow-up); max_nodes bounds the number of matrix
-    products evaluated, keeping the search deterministic and finite.
+    word_lengths is the set of admissible total word lengths, counting
+    letters with multiplicity (the cover builder admits divisors of a
+    common block count so member periods match without an lcm blow-up);
+    a word is accepted when its trace passes accepts.
     """
 
-    max_word_length: int = 24
+    word_lengths: frozenset[int] = frozenset(range(1, 25))
     trace_margin: float = 0.05
     trace_cap: float = math.inf
-    admissible_lengths: Optional[frozenset[int]] = None
-    max_nodes: int = 400_000
+
+    def accepts(self, trace: float) -> bool:
+        return 2.0 + self.trace_margin < abs(trace) <= self.trace_cap
 
 
 @dataclass(frozen=True)
@@ -477,11 +478,8 @@ def _word_product(runs, powers):
     return m
 
 
-def _accept(trace: complex, margin: float, cap: float = math.inf) -> bool:
-    return (
-        abs(trace.imag) <= 1e-9 * max(1.0, abs(trace.real))
-        and 2.0 + margin < abs(trace.real) <= cap
-    )
+def _is_real(trace: complex) -> bool:
+    return abs(trace.imag) <= 1e-9 * max(1.0, abs(trace.real))
 
 
 def hyperbolic_in_semigroup(A, B, budget: Optional[SearchBudget] = None) -> SemigroupWord:
@@ -508,11 +506,8 @@ def hyperbolic_in_semigroup(A, B, budget: Optional[SearchBudget] = None) -> Semi
     if commutator_norm(A, B) <= GROUP_TOL:
         raise CommutingInput("generators commute within tolerance")
 
-    L = budget.max_word_length
-    admissible = budget.admissible_lengths
-
-    def length_ok(n: int) -> bool:
-        return admissible is None or n in admissible
+    lengths = budget.word_lengths
+    L = max(lengths, default=0)
 
     # powers[letter][k] = letter^k as flattened tuples, k = 0..L
     powers = []
@@ -524,8 +519,6 @@ def hyperbolic_in_semigroup(A, B, budget: Optional[SearchBudget] = None) -> Semi
         powers.append(p)
 
     nodes = 0
-    margin = budget.trace_margin
-    cap = budget.trace_cap
 
     # Phase 1: A^a B^b and repetitions (A^a B^b)^r.
     for base_len in range(2, L + 1):
@@ -534,29 +527,28 @@ def hyperbolic_in_semigroup(A, B, budget: Optional[SearchBudget] = None) -> Semi
             w = _mul(powers[1][b], powers[0][a])
             nodes += 1
             t = w[0] + w[3]
-            if abs(t.imag) > 1e-9 * max(1.0, abs(t.real)) or abs(t.real) <= 2.0:
+            if not _is_real(t) or abs(t.real) <= 2.0:
                 continue
             # hyperbolic seed; repetitions amplify |trace| = 2 cosh(r nu)
             nu = math.acosh(min(abs(t.real) / 2.0, 1e15))
             for r in range(1, L // base_len + 1):
-                total = r * base_len
-                if not length_ok(total):
+                if r * base_len not in lengths:
                     continue
-                if 2.0 * math.cosh(r * nu) > 2.0 + margin:
+                if 2.0 * math.cosh(r * nu) > 2.0 + budget.trace_margin:
                     runs = tuple(((0, a), (1, b)) * r)
                     m = _word_product(runs, powers)
                     trace = m[0] + m[3]
-                    if _accept(trace, margin, cap):
+                    if _is_real(trace) and budget.accepts(trace.real):
                         return SemigroupWord(runs=runs, matrix=_tuple_to_mat(m),
                                              trace=float(trace.real))
-                    if abs(trace.real) > cap:
+                    if abs(trace.real) > budget.trace_cap:
                         break
-            if nodes >= budget.max_nodes:
-                raise WordNotFound(f"budget {budget.max_nodes} nodes exhausted")
+            if nodes >= MAX_NODES:
+                raise WordNotFound(f"budget {MAX_NODES} nodes exhausted")
 
     # Phase 2: exhaustive enumeration of alternating power words by length.
     for total in range(1, L + 1):
-        if not length_ok(total):
+        if total not in lengths:
             continue
         for nruns in range(1, min(MAX_RUNS, total) + 1):
             for comp in _compositions(total, nruns):
@@ -565,12 +557,11 @@ def hyperbolic_in_semigroup(A, B, budget: Optional[SearchBudget] = None) -> Semi
                     m = _word_product(runs, powers)
                     nodes += len(runs)
                     trace = m[0] + m[3]
-                    if _accept(trace, margin, cap):
+                    if _is_real(trace) and budget.accepts(trace.real):
                         return SemigroupWord(runs=runs, matrix=_tuple_to_mat(m),
                                              trace=float(trace.real))
-                    if nodes >= budget.max_nodes:
-                        raise WordNotFound(
-                            f"budget {budget.max_nodes} nodes exhausted")
+                    if nodes >= MAX_NODES:
+                        raise WordNotFound(f"budget {MAX_NODES} nodes exhausted")
     raise WordNotFound(
         f"no hyperbolic word within length {L}, runs {MAX_RUNS}, "
-        f"margin {margin}")
+        f"margin {budget.trace_margin}")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,13 +48,44 @@ def test_open_gap_passes_word_limits_to_word_search(monkeypatch):
         seen.append(budget)
         return _fn(A, B, budget)
     monkeypatch.setattr(su11, "hyperbolic_in_semigroup", spy)
-    budget = construct.GapSearchBudget(max_nodes=50_000, max_word_length=20,
+    budget = construct.GapSearchBudget(word_lengths=frozenset(range(1, 21)),
                                        trace_margin=0.04)
     construct.open_gap(FREE, math.pi / 2, 0.2, seed=7, budget=budget)
     assert seen
     for got in seen:
-        assert (got.max_nodes, got.max_word_length, got.trace_margin) == (
-            50_000, 20, 0.04)
+        assert (got.word_lengths, got.trace_margin) == (
+            frozenset(range(1, 21)), 0.04)
+
+
+def test_single_letter_budget_skips_word_search(monkeypatch):
+    # a single letter of an elliptic partner is elliptic: no word search
+    # can succeed, so none runs
+    calls = []
+
+    def spy(A, B, budget=None, _fn=su11.hyperbolic_in_semigroup):
+        calls.append(budget)
+        return _fn(A, B, budget)
+    monkeypatch.setattr(su11, "hyperbolic_in_semigroup", spy)
+    budget = replace(construct.COVER_BUDGET, word_lengths=frozenset({1}),
+                     trace_margin=0.5)
+    _, cert = construct.open_gap(dirac.PiecewisePotential.free().repeated(24),
+                                 0.3, 0.3, seed=5, budget=budget)
+    assert calls == []
+    assert cert.case == 2
+    assert cert.word_label() == "B^1"
+    assert cert.achieved_trace == -2.977198788514687
+
+
+def test_open_gap_cmv_finds_phase2_word():
+    # eight alternating runs: the word comes from the exhaustive phase of
+    # the word search, not from the two-run phase (A^a B^b)^r
+    alpha = cmv.VerblunskyCycle((0.5 + 0j,))
+    _, cert = construct.open_gap(alpha, 2.0, 0.2, seed=7)
+    assert cert.case == 2
+    assert cert.word.runs == ((1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 4),
+                              (1, 1), (0, 4))
+    assert cert.achieved_trace == pytest.approx(2.0537, abs=1e-4)
+    assert cert.result_period == 28
 
 
 def test_open_gap_deterministic():
