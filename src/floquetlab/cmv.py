@@ -69,8 +69,12 @@ class VerblunskyCycle:
 
 
 def concatenate_cycles(cycles: Iterable[VerblunskyCycle]) -> VerblunskyCycle:
+    """The cycles one after another; a single cycle is returned as it is."""
+    blocks = list(cycles)
+    if len(blocks) == 1:
+        return blocks[0]
     vals: list[complex] = []
-    for c in cycles:
+    for c in blocks:
         vals.extend(c.values)
     return VerblunskyCycle(values=tuple(vals))
 
@@ -100,18 +104,36 @@ def cmv_monodromy(alpha: VerblunskyCycle, theta: float) -> np.ndarray:
     return cmath.exp(-0.5j * alpha.q * theta) * M
 
 
+def _szego_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 / rho and -conj(alpha) / rho of the coefficients alpha."""
+    r = 1.0 / np.sqrt(1.0 - np.abs(values) ** 2)
+    return r, -r * values.conj()
+
+
 def _szego_product(alpha: VerblunskyCycle, half: np.ndarray) -> su11.Su11Batch:
     """One-period products of the Szego steps normalised by z^(-1/2), at
     z = half**2: a = half / rho and b = -conj(alpha) conj(half) / rho."""
-    values = np.array(alpha.values)[:, None]
-    r = 1.0 / np.sqrt(1.0 - np.abs(values) ** 2)
-    rb = -r * values.conj()
+    r, rb = _szego_rows(np.array(alpha.values)[:, None])
     half_conj = half.conj()
 
     def steps(lo, hi):
         return r * half[lo:hi], rb * half_conj[lo:hi]
 
     return su11.batch_product(steps, alpha.q, half.size)
+
+
+def cmv_monodromies(cycles: Sequence[VerblunskyCycle],
+                    theta: float) -> su11.Su11Batch:
+    """Normalised monodromies of several cycles of one length at one
+    angle, one column each."""
+    r, rb = _szego_rows(np.array([c.values for c in cycles]).T)
+    _, half = _angles(theta)
+    half_conj = half.conj()
+
+    def steps(lo, hi):
+        return r[:, lo:hi] * half, rb[:, lo:hi] * half_conj
+
+    return su11.batch_product(steps, r.shape[0], r.shape[1])
 
 
 def _angles(thetas) -> tuple[np.ndarray, np.ndarray]:

@@ -45,6 +45,8 @@ CASE3_RETRIES = 8
 ELLIPTIC_MARGIN = 0.01
 # Samples whose monodromy commutes with the base's within this are rejected.
 COMMUTATOR_MIN = 1e-3
+# Largest block of gap-search samples screened by one batch product.
+SCREEN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,7 @@ class Family:
     move: Callable[[Any, complex], Any]      # entry moved by a disk offset
     resonant: Callable                       # (data, rng, radius, target)
     monodromy: Callable
+    monodromies: Callable                    # (data list, target) -> batch
     discriminant: Callable
     lyapunov: Callable                       # profile over a grid
     concat: Callable
@@ -166,24 +169,30 @@ def _resonant_potential(phi: dirac.PiecewisePotential,
     # the T/8 cap keeps the preserved first piece short, so the mode
     # retains nearly full strength even on two-block lifts
     h_target = min(math.pi / (2.0 * abs(lam) + 2.0), T / 8.0)
-    segs: list[tuple[float, complex]] = []
+    # pieces per distinct segment length; its pieces share one length
+    split: dict[float, tuple[int, float]] = {}
+    hs: list[float] = []
+    values: list[complex] = []
+    mids = []
     x = 0.0
-    first = True
     for length, value in phi.segments:
-        pieces = max(1, int(math.ceil(length / h_target)))
-        h = length / pieces
-        for i in range(pieces):
-            mid = x + (i + 0.5) * h
-            if first:
-                segs.append((h, value))
-                first = False
-                continue
-            offset = complex(sum(
-                a * np.exp(1j * (ph + direction * TWO_PI * nu * mid / T))
-                for nu, a, ph in modes))
-            segs.append((h, value + offset))
+        if length not in split:
+            pieces = max(1, int(math.ceil(length / h_target)))
+            split[length] = (pieces, length / pieces)
+        pieces, h = split[length]
+        hs += [h] * pieces
+        values += [value] * pieces
+        mids.append(x + (np.arange(pieces) + 0.5) * h)
         x += length
-    return dirac.PiecewisePotential(segments=tuple(segs))
+    # every piece but the first moves by the sum of the modes at its
+    # midpoint, added in mode order
+    mid = np.concatenate(mids)[1:]
+    offset = 0
+    for nu, a, ph in modes:
+        offset = offset + a * np.exp(
+            1j * (ph + direction * TWO_PI * nu * mid / T))
+    return dirac.PiecewisePotential(segments=((hs[0], values[0]),) + tuple(
+        zip(hs[1:], [v + w for v, w in zip(values[1:], offset.tolist())])))
 
 
 def _resonant_cycle(alpha: cmv.VerblunskyCycle, rng: np.random.Generator,
@@ -216,6 +225,7 @@ DIRAC = Family(
     move=lambda seg, w: (seg[0], seg[1] + w),
     resonant=_resonant_potential,
     monodromy=lambda phi, lam: dirac.monodromy(phi, lam),
+    monodromies=lambda phis, lam: dirac.monodromies(phis, lam),
     discriminant=lambda phi, lam: dirac.discriminant(phi, lam),
     lyapunov=lambda phi, lams: dirac.lyapunov_profile(phi, lams),
     concat=dirac.concatenate,
@@ -242,6 +252,7 @@ CMV = Family(
     move=cmv.poincare_push,
     resonant=_resonant_cycle,
     monodromy=lambda alpha, theta: cmv.cmv_monodromy(alpha, theta),
+    monodromies=lambda alphas, theta: cmv.cmv_monodromies(alphas, theta),
     discriminant=lambda alpha, theta: cmv.cmv_discriminant(alpha, theta),
     lyapunov=lambda alpha, thetas: cmv.cmv_lyapunov_profile(alpha, thetas),
     concat=cmv.concatenate_cycles,
@@ -267,6 +278,13 @@ def _disk_offset(rng: np.random.Generator, radius: float) -> complex:
     u = rng.uniform()
     v = rng.uniform()
     return complex(radius * math.sqrt(u) * np.exp(2j * math.pi * v))
+
+
+def _disk_offsets(rng: np.random.Generator, radius: float,
+                  n: int) -> list[complex]:
+    """n offsets, the same as n successive _disk_offset draws."""
+    u, v = rng.uniform(size=(n, 2)).T
+    return (radius * np.sqrt(u) * np.exp(2j * math.pi * v)).tolist()
 
 
 def _moved(fam: Family, data: Data, moves) -> Data:
@@ -342,45 +360,70 @@ def open_gap(data: Data, target: float, eps: float, seed: int,
     words_ok = max(budget.word_lengths, default=0) > 1
     n = len(fam.entries(base))
     radius = fam.disk_radius(eps / 2.0)
-    for trial in range(budget.max_samples):
+
+    def draw(trial: int) -> Data:
         if budget.resonant_proposals and trial % 2 == 0:
-            partner = fam.resonant(base, rng, eps / 2.0, target)
-        else:
-            # independent offsets on every entry but the preserved first
-            partner = _moved(fam, base, [(k, _disk_offset(rng, radius))
-                                         for k in range(1, n)])
-        M1 = fam.monodromy(partner, target)
-        try:
-            t1 = su11.real_trace(M1)
-        except NotInGroup:
-            continue
-        if single_ok and budget.accepts(t1):
-            # the partner alone is hyperbolic: single-letter word
-            word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
-        elif abs(t1) > 2.0 - ELLIPTIC_MARGIN:
-            continue
-        elif not words_ok or su11.commutator_norm(M0, M1) <= COMMUTATOR_MIN:
-            continue
-        else:
-            try:
-                word = su11.hyperbolic_in_semigroup(M0, M1, budget)
-            except (WordNotFound, CommutingInput, NotElliptic, NotInGroup):
+            return fam.resonant(base, rng, eps / 2.0, target)
+        # independent offsets on every entry but the preserved first
+        return _moved(fam, base, enumerate(_disk_offsets(rng, radius, n - 1),
+                                           start=1))
+
+    # Samples are drawn in blocks of 1, 2, 4, ... SCREEN_BLOCK and
+    # screened by one batch product per block.  Nothing else draws from
+    # rng, so drawing ahead changes no outcome.
+    trial, block = 0, 1
+    while trial < budget.max_samples:
+        partners = [draw(t) for t in
+                    range(trial, min(trial + block, budget.max_samples))]
+        trial += len(partners)
+        block = min(2 * block, SCREEN_BLOCK)
+        traces, sound = su11.screen_traces(fam.monodromies(partners, target))
+        # Drop a sample only where the scalar path rejects it on its
+        # trace alone: outside the single-letter accept band, and too
+        # close to parabolic for a word search or with words off.  The
+        # guard covers the gap between the batch and the scalar trace;
+        # an unsound entry is decided by the scalar path.
+        t = np.abs(traces)
+        guard = su11.DEFECT_TOL * np.maximum(1.0, t)
+        may_accept = single_ok & (t + guard > 2.0 + budget.trace_margin) & (
+            t - guard <= budget.trace_cap)
+        may_search = words_ok & (t - guard <= 2.0 - ELLIPTIC_MARGIN)
+        for partner, keep in zip(partners, ~sound | may_accept | may_search):
+            if not keep:
                 continue
-        blocks = (base, partner)
-        result = fam.concat(blocks[letter].repeated(count)
-                            for letter, count in word.runs)
-        Dt = fam.discriminant(result, target)
-        if abs(Dt - word.trace) > 1e-8 * max(1.0, abs(Dt)):
-            raise NumericalAssertionError(
-                f"word trace {word.trace} disagrees with concatenated "
-                f"{fam.discriminant_name} {Dt}")
-        if abs(Dt) <= 2.0:
-            continue
-        return result, GapCertificate(
-            kind=fam.kind, target=target, case=2, word=word, base=base,
-            partner=partner, result_period=fam.period(result),
-            achieved_trace=Dt, distance=_distance(orig, result),
-            preperturbations=pre)
+            M1 = fam.monodromy(partner, target)
+            try:
+                t1 = su11.real_trace(M1)
+            except NotInGroup:
+                continue
+            if single_ok and budget.accepts(t1):
+                # the partner alone is hyperbolic: single-letter word
+                word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
+            elif abs(t1) > 2.0 - ELLIPTIC_MARGIN:
+                continue
+            elif (not words_ok
+                  or su11.commutator_norm(M0, M1) <= COMMUTATOR_MIN):
+                continue
+            else:
+                try:
+                    word = su11.hyperbolic_in_semigroup(M0, M1, budget)
+                except (WordNotFound, CommutingInput, NotElliptic, NotInGroup):
+                    continue
+            blocks = (base, partner)
+            result = fam.concat(blocks[letter].repeated(count)
+                                for letter, count in word.runs)
+            Dt = fam.discriminant(result, target)
+            if abs(Dt - word.trace) > 1e-8 * max(1.0, abs(Dt)):
+                raise NumericalAssertionError(
+                    f"word trace {word.trace} disagrees with concatenated "
+                    f"{fam.discriminant_name} {Dt}")
+            if abs(Dt) <= 2.0:
+                continue
+            return result, GapCertificate(
+                kind=fam.kind, target=target, case=2, word=word, base=base,
+                partner=partner, result_period=fam.period(result),
+                achieved_trace=Dt, distance=_distance(orig, result),
+                preperturbations=pre)
     raise BudgetExhausted(
         f"no gap within {budget.max_samples} samples at "
         f"{fam.target_name}={target}")

@@ -83,9 +83,7 @@ class PiecewisePotential:
 
     @cached_property
     def boundaries(self) -> np.ndarray:
-        b = np.zeros(len(self.segments) + 1)
-        np.cumsum([l for l, _ in self.segments], out=b[1:])
-        return b
+        return _boundaries(self.segments)
 
     @cached_property
     def rows(self) -> list[list[float]]:
@@ -122,9 +120,20 @@ class PiecewisePotential:
         return PiecewisePotential(segments=tuple(segs))
 
 
+def _boundaries(segments) -> np.ndarray:
+    """Segment boundaries from 0 to the period, accumulated in order."""
+    b = np.zeros(len(segments) + 1)
+    np.cumsum([l for l, _ in segments], out=b[1:])
+    return b
+
+
 def concatenate(potentials: Iterable[PiecewisePotential]) -> PiecewisePotential:
+    """The blocks one after another; a single block is returned as it is."""
+    blocks = list(potentials)
+    if len(blocks) == 1:
+        return blocks[0]
     segs: list[tuple[float, complex]] = []
-    for p in potentials:
+    for p in blocks:
         segs.extend(p.segments)
     return PiecewisePotential(segments=tuple(segs))
 
@@ -138,17 +147,21 @@ def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
     ratio1, ratio2 = span / p1.period, span / p2.period
     if abs(ratio1 - round(ratio1)) > 1e-9 or abs(ratio2 - round(ratio2)) > 1e-9:
         raise ValueError("periods are not commensurate")
-    cuts = set()
-    for p, rep in ((p1, int(round(ratio1))), (p2, int(round(ratio2)))):
-        for r in range(rep):
-            base = r * p.period
-            cuts.update(base + b for b in p.boundaries[:-1])
-    cuts = sorted(cuts) + [span]
-    worst = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = (a + b) / 2.0
-        worst = max(worst, abs(p1.value_at(mid) - p2.value_at(mid)))
-    return worst
+    pieces = [(p, _boundaries(p.segments), int(round(ratio)))
+              for p, ratio in ((p1, ratio1), (p2, ratio2))]
+    cuts = np.array(sorted(set(np.concatenate([
+        (np.arange(rep)[:, None] * p.period + bounds[:-1]).ravel()
+        for p, bounds, rep in pieces]).tolist())) + [span])
+    mids = (cuts[:-1] + cuts[1:]) / 2.0
+    values = []
+    for p, bounds, _ in pieces:
+        # the segment of each midpoint, as value_at finds it
+        u = mids - np.floor(mids / p.period) * p.period
+        k = np.searchsorted(bounds, u, side="right") - 1
+        k = np.minimum(np.maximum(k, 0), len(p.segments) - 1)
+        values.append(np.array([v for _, v in p.segments])[k])
+    # Python abs: numpy's complex modulus can differ in the last bit
+    return max(map(abs, (values[0] - values[1]).tolist()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +208,7 @@ def transfer(phi: PiecewisePotential, x: float, y: float, z) -> np.ndarray:
     T = phi.period
     shift = math.floor(x / T) * T
     x0, y0 = x - shift, y - shift
-    bounds = phi.boundaries
+    bounds = _boundaries(phi.segments)
     nseg = len(phi.segments)
     per = int(x0 // T)
     u = x0 - per * T
@@ -246,25 +259,47 @@ def _real_cosh_sinhc(nw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ch, shc
 
 
-def _period_product(phi: PiecewisePotential, lams: np.ndarray) -> su11.Su11Batch:
-    """One-period products at real energies: each segment step is
-    a = ch - i lam e, b = i c e with e = length sinh(sqrt(w))/sqrt(w)
-    and w = length^2 (|c|^2 - lam^2)."""
-    lengths = np.array([length for length, _ in phi.segments])[:, None]
-    values = np.array([c for _, c in phi.segments])[:, None]
+def _stepper(lengths: np.ndarray, values: np.ndarray):
+    """step(lam, cols): the segment steps a = ch - i lam e, b = i c e
+    with e = length sinh(sqrt(w))/sqrt(w) and w = length^2 (|c|^2 - lam^2),
+    of the columns cols of the (segment, column) arrays lengths and
+    values at the real energies lam (broadcast against the columns)."""
     l2 = lengths * lengths
     c2 = np.abs(values) ** 2
 
-    def steps(lo, hi):
-        lam = lams[lo:hi]
-        ch, shc = _real_cosh_sinhc(l2 * (lam * lam - c2))
-        e = lengths * shc
+    def step(lam, cols=slice(None)):
+        ch, shc = _real_cosh_sinhc(l2[:, cols] * (lam * lam - c2[:, cols]))
+        e = lengths[:, cols] * shc
         a = np.empty(e.shape, dtype=complex)
         a.real = ch
         np.multiply(e, -lam, out=a.imag)
-        return a, (1j * values) * e
+        return a, (1j * values[:, cols]) * e
 
-    return su11.batch_product(steps, len(phi.segments), lams.size)
+    return step
+
+
+def _period_product(phi: PiecewisePotential, lams: np.ndarray) -> su11.Su11Batch:
+    """One-period products at real energies."""
+    step = _stepper(np.array([length for length, _ in phi.segments])[:, None],
+                    np.array([c for _, c in phi.segments])[:, None])
+    return su11.batch_product(lambda lo, hi: step(lams[lo:hi]),
+                              len(phi.segments), lams.size)
+
+
+def monodromies(potentials: Sequence[PiecewisePotential],
+                lam: float) -> su11.Su11Batch:
+    """Monodromies of several potentials at one real energy, one column
+    each.  Shorter potentials are padded with zero-length segments,
+    whose steps are the identity."""
+    nseg = max(len(p.segments) for p in potentials)
+    lengths = np.zeros((nseg, len(potentials)))
+    values = np.zeros((nseg, len(potentials)), dtype=complex)
+    for j, p in enumerate(potentials):
+        lengths[:len(p.segments), j], values[:len(p.segments), j] = zip(
+            *p.segments)
+    step = _stepper(lengths, values)
+    return su11.batch_product(lambda lo, hi: step(lam, slice(lo, hi)),
+                              nseg, len(potentials))
 
 
 def _trace_profile(phi: PiecewisePotential, lams) -> tuple[np.ndarray, np.ndarray]:

@@ -326,6 +326,25 @@ def batch_concat(groups: Iterable[tuple[Su11Batch, int]]) -> Su11Batch:
     return M
 
 
+def _trace_defect(P: Su11Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # scaled traces, their estimated error from the determinant defect,
+    # and where that error is within DEFECT_TOL * max(1, |trace|)
+    absa = np.abs(P.a)
+    trace = 2.0 * P.a.real
+    err = np.abs(absa * absa - np.abs(P.b) ** 2
+                 - np.exp(-2.0 * P.logscale)) / (2.0 * absa)
+    return trace, err, err <= DEFECT_TOL * np.maximum(1.0, np.abs(trace))
+
+
+def screen_traces(P: Su11Batch) -> tuple[np.ndarray, np.ndarray]:
+    """(traces, sound): the true traces, saturated, and where they are
+    finite and pass the determinant-defect check of batch_trace.  For
+    screens, which pass an unsound entry on instead of raising."""
+    trace, _, sound = _trace_defect(P)
+    traces = saturated(trace, P.logscale)
+    return traces, sound & np.isfinite(traces)
+
+
 def batch_trace(P: Su11Batch, points: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(trace, logscale): the true trace is trace * exp(logscale).
@@ -335,11 +354,8 @@ def batch_trace(P: Su11Batch, points: np.ndarray,
     above DEFECT_TOL * max(1, |trace|); points labels the batch entries
     in the message.
     """
-    absa = np.abs(P.a)
-    trace = 2.0 * P.a.real
-    err = np.abs(absa * absa - np.abs(P.b) ** 2
-                 - np.exp(-2.0 * P.logscale)) / (2.0 * absa)
-    bad = ~(err <= DEFECT_TOL * np.maximum(1.0, np.abs(trace)))
+    trace, err, sound = _trace_defect(P)
+    bad = ~sound
     if bad.any():
         i = int(np.argmax(bad))
         raise NonRealTrace(

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from floquetlab import cmv, construct, dirac, su11
-from floquetlab.errors import NTooSmall
+from floquetlab.errors import (BudgetExhausted, NonRealTrace, NTooSmall,
+                               NumericalAssertionError)
 
 FREE = dirac.PiecewisePotential.free(1.0)
 
@@ -225,9 +226,11 @@ def test_family_entries_see_rebound_library_functions(monkeypatch):
     # perfbench/tracer.py times layers by rebinding module attributes, so
     # the construction must look library functions up at call time
     counts = {}
-    watched = [(dirac, "monodromy"), (dirac, "discriminant"),
+    watched = [(dirac, "monodromy"), (dirac, "monodromies"),
+               (dirac, "discriminant"),
                (dirac, "lyapunov_profile"), (dirac, "bands_of_groups"),
-               (cmv, "cmv_monodromy"), (cmv, "cmv_discriminant"),
+               (cmv, "cmv_monodromy"), (cmv, "cmv_monodromies"),
+               (cmv, "cmv_discriminant"),
                (cmv, "cmv_lyapunov_profile"), (construct, "open_gap"),
                (construct, "cover_kappa")]
     for module, name in watched:
@@ -240,3 +243,160 @@ def test_family_entries_see_rebound_library_functions(monkeypatch):
     assert report.member_count == 5
     construct.cmv_resolvent_cover(cmv.VerblunskyCycle((0.0,)), 2.5, 2)
     assert {name for _, name in watched} == set(counts)
+
+
+# ---------------------------------------------------------------------------
+# Batch screen of the gap search
+# ---------------------------------------------------------------------------
+
+def nan_batch(data, target):
+    # every column unsound: the screen passes all samples to the scalar path
+    n = len(data)
+    return su11.Su11Batch(np.full(n, np.nan + 0j), np.full(n, np.nan + 0j),
+                          np.zeros(n))
+
+
+def gap_outcome(data, target, eps, seed, budget=None):
+    try:
+        result, cert = construct.open_gap(data, target, eps, seed, budget)
+    except BudgetExhausted as exc:
+        return str(exc)
+    word = cert.word
+    return (result, cert.case, cert.partner, cert.achieved_trace,
+            cert.distance, cert.preperturbations,
+            (word.runs, word.trace, word.matrix.tobytes()) if word else None)
+
+
+def screen_cases():
+    rung = replace(construct.COVER_BUDGET,
+                   word_lengths=construct._admissible_lengths(2, 12, 1),
+                   trace_margin=0.05)
+    gaps = [gap_outcome(cmv.VerblunskyCycle((0.5 + 0j,)), 2.0, 0.2, 7),
+            gap_outcome(FREE, math.pi / 2, 0.2, 7),
+            gap_outcome(FREE, math.pi, 0.2, 7),
+            gap_outcome(FREE.repeated(12), 1.3, 0.3, 11, rung),
+            gap_outcome(cmv.VerblunskyCycle((0j,)).repeated(12), 2.0, 0.3, 3,
+                        rung)]
+    covers = [construct.resolvent_cover(FREE, 0.5, 0.3, 4),
+              construct.cmv_resolvent_cover(cmv.VerblunskyCycle((0.5 + 0j,)),
+                                            0.3, 4)]
+    return gaps, covers
+
+
+def test_screened_search_equals_unscreened(monkeypatch):
+    calls = {"n": 0}
+
+    def counted(phi, lam, _fn=dirac.monodromy):
+        calls["n"] += 1
+        return _fn(phi, lam)
+    monkeypatch.setattr(dirac, "monodromy", counted)
+    screened = screen_cases()
+    screened_calls = calls["n"]
+    monkeypatch.setattr(dirac, "monodromies", nan_batch)
+    monkeypatch.setattr(cmv, "cmv_monodromies", nan_batch)
+    calls["n"] = 0
+    unscreened = screen_cases()
+    assert screened == unscreened
+    # the screen decided most samples without the scalar path
+    assert screened_calls < calls["n"] / 4
+
+
+@pytest.mark.parametrize("family", ["dirac", "cmv"])
+@pytest.mark.parametrize("wrong", ["defect", "phase"])
+def test_wrong_batch_step_never_gives_a_cover(monkeypatch, family, wrong):
+    # a wrong step of the batch kernel, shared by the screen and the
+    # discriminants, trips the defect check or the word-trace self-check
+    phase = np.exp(0.01j)
+    if family == "dirac":
+        right = dirac._stepper
+
+        def stepper(lengths, values):
+            step = right(lengths, values)
+            if wrong == "defect":
+                return lambda lam, cols=slice(None): (
+                    step(lam, cols)[0], 1.001 * step(lam, cols)[1])
+            return lambda lam, cols=slice(None): tuple(
+                phase * x for x in step(lam, cols))
+        monkeypatch.setattr(dirac, "_stepper", stepper)
+        run = lambda: construct.resolvent_cover(FREE, 2.0, 0.3, 5)
+    else:
+        right = cmv._szego_rows
+
+        def rows(values):
+            r, rb = right(values)
+            return (r, 1.001 * rb) if wrong == "defect" else (
+                phase * r, phase * rb)
+        monkeypatch.setattr(cmv, "_szego_rows", rows)
+        run = lambda: construct.cmv_resolvent_cover(
+            cmv.VerblunskyCycle((0j,)), 0.3, 5)
+    with pytest.raises((NumericalAssertionError, NonRealTrace)):
+        run()
+
+
+def test_disk_offsets_match_sequential_draws():
+    for seed, n, radius in [(0, 1, 0.15), (1, 23, 0.15), (2, 47, 0.1487),
+                            (3, 200, 1.0)]:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = construct._disk_offsets(rng, radius, n)
+        want = [construct._disk_offset(ref, radius) for _ in range(n)]
+        assert [(w.real, w.imag) for w in got] == [
+            (w.real, w.imag) for w in want]
+        assert rng.uniform() == ref.uniform()
+
+
+def sequential_resonant(phi, rng, radius, lam):
+    # the proposal drawn and summed one piece at a time
+    T = phi.period
+    direction = -1.0 if lam >= 0 else 1.0
+    nu_star = round(abs(lam) * T / math.pi)
+    nu_max = max(3, nu_star + 2, round(1.4 * abs(lam) * T / math.pi))
+    main_div, low, span, sides, side_div = construct.RESONANT_MODES[
+        int(rng.choice(tuple(construct.RESONANT_MODES)))]
+    modes = [(nu_star + int(rng.integers(-1, 2)),
+              (radius / main_div) * (low + span * rng.uniform()),
+              rng.uniform(0.0, construct.TWO_PI))]
+    for _ in range(sides):
+        modes.append((int(rng.integers(1, nu_max + 1)),
+                      (radius / side_div) * rng.uniform(),
+                      rng.uniform(0.0, construct.TWO_PI)))
+    h_target = min(math.pi / (2.0 * abs(lam) + 2.0), T / 8.0)
+    segs = []
+    x = 0.0
+    for length, value in phi.segments:
+        pieces = max(1, int(math.ceil(length / h_target)))
+        h = length / pieces
+        for i in range(pieces):
+            mid = x + (i + 0.5) * h
+            if not segs:
+                segs.append((h, value))
+                continue
+            offset = complex(sum(
+                a * np.exp(1j * (ph + direction * construct.TWO_PI * nu * mid
+                                 / T))
+                for nu, a, ph in modes))
+            segs.append((h, value + offset))
+        x += length
+    return segs
+
+
+def test_resonant_offsets_match_sequential_draws():
+    two = dirac.PiecewisePotential.from_values([0.7, 0.3], [0.2, -0.1j])
+    cases = [(FREE.repeated(24), 1.9), (FREE.repeated(12), -0.4),
+             (two.repeated(6), 0.05), (FREE.with_split(0), 1.2)]
+    for seed, (phi, lam) in enumerate(cases):
+        for draw in range(6):
+            rng = np.random.default_rng([seed, draw])
+            ref = np.random.default_rng([seed, draw])
+            got = construct._resonant_potential(phi, rng, 0.15, lam)
+            want = sequential_resonant(phi, ref, 0.15, lam)
+            assert [(l, v.real, v.imag) for l, v in got.segments] == [
+                (l, v.real, v.imag) for l, v in want]
+            assert rng.uniform() == ref.uniform()
+
+
+def test_single_block_concatenation_is_the_block():
+    phi = FREE.repeated(3)
+    alpha = cmv.VerblunskyCycle((0.5 + 0j, 0.1j))
+    assert dirac.concatenate(iter([phi])) is phi
+    assert cmv.concatenate_cycles([alpha]) is alpha
+    assert dirac.concatenate([phi, FREE]).segments == phi.segments + FREE.segments

@@ -297,3 +297,26 @@ def test_sampled_ingestion_tracks_continuous_data():
         d = max(abs(fn((i + 0.5) / 64) - coarse.value_at((i + 0.5) / 64))
                 for i in range(64))
         assert analysis.hausdorff_distance(b1, b2) <= d + 0.05
+
+
+def test_sup_distance_matches_pointwise_scan():
+    # the vectorised segment lookup against value_at at every midpoint
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        base = dirac.PiecewisePotential.from_values(
+            rng.uniform(0.1, 1.0, n), rng.normal(size=n) + 1j * rng.normal(size=n))
+        reps = int(rng.integers(1, 5))
+        moved = list(base.repeated(reps).segments)
+        for k in rng.integers(0, len(moved), size=3):
+            moved[k] = (moved[k][0], moved[k][1] + complex(*rng.normal(size=2)))
+        if rng.uniform() < 0.5:
+            moved[0:1] = [(moved[0][0] / 2.0, moved[0][1])] * 2
+        moved = dirac.PiecewisePotential(segments=tuple(moved))
+        cuts = sorted({r * p.period + b for p, rep in ((base, reps), (moved, 1))
+                       for r in range(rep) for b in p.boundaries[:-1]})
+        cuts.append(moved.period)
+        want = max(abs(base.value_at((a + b) / 2.0) - moved.value_at((a + b) / 2.0))
+                   for a, b in zip(cuts[:-1], cuts[1:]))
+        assert dirac.sup_distance(base, moved) == want
+        assert dirac.sup_distance(moved, base) == want

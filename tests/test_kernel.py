@@ -169,3 +169,39 @@ def test_cmv_thin_run_completes_on_former_nonreal_seed():
     for a, b in report.spectrum.arcs:
         trace = scalar_trace(cmv.cmv_monodromy, groups, 0.5 * (a + b))
         assert abs(trace.real) <= 2.0
+
+
+def assert_screen_sound(batch, scalar):
+    traces, sound = su11.screen_traces(batch)
+    assert sound.all()
+    for t, M in zip(traces, scalar):
+        assert abs(t - su11.real_trace(M)) <= su11.DEFECT_TOL * max(1.0, abs(t))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gap_screen_traces_match_scalar_path(seed):
+    rng = np.random.default_rng([seed, 77])
+    lifted = dirac.PiecewisePotential.free().repeated(24)
+    for _ in range(5):
+        lam = float(rng.uniform(-3.0, 3.0))
+        # columns of different lengths, padded with identity steps
+        phis = [random_potential(rng, max_segments=40, sup=0.5)
+                for _ in range(7)]
+        phis.append(construct._resonant_potential(lifted, rng, 0.15, lam))
+        phis.append(construct._moved(construct.DIRAC, lifted, enumerate(
+            construct._disk_offsets(rng, 0.15, 23), start=1)))
+        assert_screen_sound(dirac.monodromies(phis, lam),
+                            [dirac.monodromy(phi, lam) for phi in phis])
+        theta = float(rng.uniform(-TWO_PI, 2.0 * TWO_PI))
+        q = int(rng.integers(1, 30))
+        alphas = [random_cycle(rng, q) for _ in range(9)]
+        assert_screen_sound(cmv.cmv_monodromies(alphas, theta),
+                            [cmv.cmv_monodromy(a, theta) for a in alphas])
+
+
+def test_screen_passes_unsound_entries_on():
+    # a NaN entry, the identity, and a determinant defect of 1
+    a = np.array([np.nan, 1.0, 2.0], dtype=complex)
+    b = np.array([0.0, 0.0, 1.0], dtype=complex)
+    _, sound = su11.screen_traces(su11.Su11Batch(a, b, np.zeros(3)))
+    assert sound.tolist() == [False, True, False]
