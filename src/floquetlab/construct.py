@@ -115,12 +115,12 @@ class Family:
     row_hint: str
     parse_row: Callable[[Sequence], Any]     # config row -> entry
     make: Callable[[tuple], Data]            # entries -> data
-    entries: Callable[[Data], tuple]
+    size: Callable[[Data], int]              # number of entries
     period: Callable[[Data], float]
     prepare: Callable[[Data], Data]
     disk_radius: Callable[[float], float]    # Euclidean radius of a move
-    move: Callable[[Any, complex], Any]      # entry moved by a disk offset
-    resonant: Callable                       # (data, rng, radius, target)
+    moved: Callable                          # (data, k, offsets) -> data
+    resonant: Callable                       # (data, target) -> draw
     monodromy: Callable
     monodromies: Callable                    # (data list, target) -> batch
     discriminant: Callable
@@ -140,73 +140,84 @@ RESONANT_MODES = {1: (1.0, 0.7, 0.3, 0, 1.0), 2: (2.0, 0.7, 0.3, 1, 2.0),
                   4: (2.0, 0.5, 0.5, 3, 6.0)}
 
 
-def _resonant_potential(phi: dirac.PiecewisePotential,
-                        rng: np.random.Generator, radius: float,
-                        lam: float) -> dirac.PiecewisePotential:
-    """Fourier-mode proposal: off-diagonal data at frequency 2 lam
-    couples the two free components at energy lam, so a mode near the
-    index closest to |lam| T / pi opens a gap there directly; weaker
-    side modes at random indices broaden the Lyapunov landscape of the
-    candidate so a single cover member helps at many energies.
+def _resonant_potentials(phi: dirac.PiecewisePotential, lam: float):
+    """Fourier-mode proposals: draw(rng, radius) returns one.
+
+    Off-diagonal data at frequency 2 lam couples the two free components
+    at energy lam, so a mode near the index closest to |lam| T / pi opens
+    a gap there directly; weaker side modes at random indices broaden the
+    Lyapunov landscape of the candidate so a single cover member helps at
+    many energies.
 
     Segments are subdivided so the piecewise-constant data resolves the
     resonant frequency (the Nyquist limit of segments of length h is
-    pi/h, while the mode needs 2 |lam|)."""
+    pi/h, while the mode needs 2 |lam|).  The subdivision depends only on
+    phi and lam, so it is built once for all draws."""
     T = phi.period
     # coupling between the free components picks frequency -2 lam
     direction = -1.0 if lam >= 0 else 1.0
     nu_star = round(abs(lam) * T / math.pi)
     nu_max = max(3, nu_star + 2, round(1.4 * abs(lam) * T / math.pi))
-    main_div, low, span, sides, side_div = RESONANT_MODES[
-        int(rng.choice(tuple(RESONANT_MODES)))]
-    modes = [(nu_star + int(rng.integers(-1, 2)),
-              (radius / main_div) * (low + span * rng.uniform()),
-              rng.uniform(0.0, TWO_PI))]
-    for _ in range(sides):
-        modes.append((int(rng.integers(1, nu_max + 1)),
-                      (radius / side_div) * rng.uniform(),
-                      rng.uniform(0.0, TWO_PI)))
     # the T/8 cap keeps the preserved first piece short, so the mode
     # retains nearly full strength even on two-block lifts
     h_target = min(math.pi / (2.0 * abs(lam) + 2.0), T / 8.0)
-    # pieces per distinct segment length; its pieces share one length
-    split: dict[float, tuple[int, float]] = {}
-    hs: list[float] = []
-    values: list[complex] = []
-    mids = []
-    x = 0.0
-    for length, value in phi.segments:
-        if length not in split:
-            pieces = max(1, int(math.ceil(length / h_target)))
-            split[length] = (pieces, length / pieces)
-        pieces, h = split[length]
-        hs += [h] * pieces
-        values += [value] * pieces
-        mids.append(x + (np.arange(pieces) + 0.5) * h)
-        x += length
-    # every piece but the first moves by the sum of the modes at its
-    # midpoint, added in mode order
-    mid = np.concatenate(mids)[1:]
-    offset = 0
-    for nu, a, ph in modes:
-        offset = offset + a * np.exp(
-            1j * (ph + direction * TWO_PI * nu * mid / T))
-    return dirac.PiecewisePotential(segments=((hs[0], values[0]),) + tuple(
-        zip(hs[1:], [v + w for v, w in zip(values[1:], offset.tolist())])))
+    # each segment is cut into equal pieces
+    pieces = np.maximum(np.ceil(phi.lengths / h_target), 1.0).astype(int)
+    h = np.repeat(phi.lengths / pieces, pieces)
+    split = dirac.PiecewisePotential._of(h, np.repeat(phi.values, pieces))
+    # piece i of a segment starting at x has its midpoint at
+    # x + (i + 0.5) h; every piece but the first moves by the sum of the
+    # modes at its midpoint
+    first = np.repeat(np.cumsum(pieces) - pieces, pieces)
+    starts = np.repeat(dirac._boundaries(phi.lengths)[:-1], pieces)
+    mid = (starts + (np.arange(h.size) - first + 0.5) * h)[1:]
+
+    def draw(rng: np.random.Generator,
+             radius: float) -> dirac.PiecewisePotential:
+        main_div, low, span, sides, side_div = RESONANT_MODES[
+            int(rng.choice(tuple(RESONANT_MODES)))]
+        modes = [(nu_star + int(rng.integers(-1, 2)),
+                  (radius / main_div) * (low + span * rng.uniform()),
+                  rng.uniform(0.0, TWO_PI))]
+        for _ in range(sides):
+            modes.append((int(rng.integers(1, nu_max + 1)),
+                          (radius / side_div) * rng.uniform(),
+                          rng.uniform(0.0, TWO_PI)))
+        # summed in mode order, which fixes the rounding
+        offset = 0
+        for nu, a, ph in modes:
+            offset = offset + a * np.exp(
+                1j * (ph + direction * TWO_PI * nu * mid / T))
+        return split.with_offsets(1, offset)
+
+    return draw
 
 
-def _resonant_cycle(alpha: cmv.VerblunskyCycle, rng: np.random.Generator,
-                    radius: float, theta: float) -> cmv.VerblunskyCycle:
-    # Fourier-mode proposal matched to the target angle: coefficient
-    # modes near index q theta / (2 pi) open a gap at exp(i theta).
+def _resonant_cycles(alpha: cmv.VerblunskyCycle, theta: float):
+    """Fourier-mode proposals matched to the target angle: draw(rng,
+    radius) returns one.  Coefficient modes near index q theta / (2 pi)
+    open a gap at exp(i theta)."""
     q = alpha.q
-    nu = round(theta * q / TWO_PI) + int(rng.integers(-1, 2))
-    phase = rng.uniform(0.0, TWO_PI)
-    amp = math.tanh(radius) * (0.5 + 0.5 * rng.uniform())
+
+    def draw(rng: np.random.Generator,
+             radius: float) -> cmv.VerblunskyCycle:
+        nu = round(theta * q / TWO_PI) + int(rng.integers(-1, 2))
+        phase = rng.uniform(0.0, TWO_PI)
+        amp = math.tanh(radius) * (0.5 + 0.5 * rng.uniform())
+        vals = list(alpha.values)
+        for k in range(1, q):
+            w = amp * np.exp(1j * (phase - TWO_PI * nu * k / q))
+            vals[k] = cmv.poincare_push(vals[k], w)
+        return cmv.VerblunskyCycle(values=tuple(vals))
+
+    return draw
+
+
+def _moved_cycle(alpha: cmv.VerblunskyCycle, k: int,
+                 offsets) -> cmv.VerblunskyCycle:
     vals = list(alpha.values)
-    for k in range(1, q):
-        w = amp * np.exp(1j * (phase - TWO_PI * nu * k / q))
-        vals[k] = cmv.poincare_push(vals[k], w)
+    for i, w in enumerate(offsets, start=k):
+        vals[i] = cmv.poincare_push(vals[i], w)
     return cmv.VerblunskyCycle(values=tuple(vals))
 
 
@@ -216,14 +227,14 @@ DIRAC = Family(
     config_key="potential", row_hint="[[length, re, im], ...]",
     parse_row=lambda r: (float(r[0]), complex(float(r[1]), float(r[2]))),
     make=lambda segs: dirac.PiecewisePotential(segments=segs),
-    entries=lambda phi: phi.segments,
+    size=lambda phi: phi.values.size,
     period=lambda phi: phi.period,
     # Perturbations preserve segment 0, so single-segment data is split
     # into two equal halves first (same operator, richer representation).
-    prepare=lambda phi: phi.with_split(0) if len(phi.segments) == 1 else phi,
+    prepare=lambda phi: phi.with_split(0) if phi.values.size == 1 else phi,
     disk_radius=lambda r: r,
-    move=lambda seg, w: (seg[0], seg[1] + w),
-    resonant=_resonant_potential,
+    moved=lambda phi, k, offsets: phi.with_offsets(k, offsets),
+    resonant=_resonant_potentials,
     monodromy=lambda phi, lam: dirac.monodromy(phi, lam),
     monodromies=lambda phis, lam: dirac.monodromies(phis, lam),
     discriminant=lambda phi, lam: dirac.discriminant(phi, lam),
@@ -242,15 +253,15 @@ CMV = Family(
     config_key="verblunsky", row_hint="[[re, im], ...]",
     parse_row=lambda r: complex(float(r[0]), float(r[1])),
     make=lambda vals: cmv.VerblunskyCycle(values=vals),
-    entries=lambda alpha: alpha.values,
+    size=lambda alpha: alpha.q,
     period=lambda alpha: alpha.q,
     # Entry 0 is preserved under perturbation, so a 1-cycle is doubled
     # first (same operator, richer representation).
     prepare=lambda alpha: alpha.repeated(2) if alpha.q == 1 else alpha,
     # geodesic offsets: Euclidean radius tanh(r) maps to hyperbolic radius r
     disk_radius=math.tanh,
-    move=cmv.poincare_push,
-    resonant=_resonant_cycle,
+    moved=_moved_cycle,
+    resonant=_resonant_cycles,
     monodromy=lambda alpha, theta: cmv.cmv_monodromy(alpha, theta),
     monodromies=lambda alphas, theta: cmv.cmv_monodromies(alphas, theta),
     discriminant=lambda alpha, theta: cmv.cmv_discriminant(alpha, theta),
@@ -281,18 +292,10 @@ def _disk_offset(rng: np.random.Generator, radius: float) -> complex:
 
 
 def _disk_offsets(rng: np.random.Generator, radius: float,
-                  n: int) -> list[complex]:
+                  n: int) -> np.ndarray:
     """n offsets, the same as n successive _disk_offset draws."""
     u, v = rng.uniform(size=(n, 2)).T
-    return (radius * np.sqrt(u) * np.exp(2j * math.pi * v)).tolist()
-
-
-def _moved(fam: Family, data: Data, moves) -> Data:
-    """data with entry k moved by the disk offset w for each (k, w)."""
-    entries = list(fam.entries(data))
-    for k, w in moves:
-        entries[k] = fam.move(entries[k], w)
-    return fam.make(tuple(entries))
+    return radius * np.sqrt(u) * np.exp(2j * math.pi * v)
 
 
 def _distance(data: Data, moved: Data) -> float:
@@ -343,9 +346,9 @@ def open_gap(data: Data, target: float, eps: float, seed: int,
             raise BudgetExhausted(
                 f"case-3 retries exhausted at {fam.target_name}={target}, "
                 f"|D|={abs(D):.6f}")
-        k = 1 + int(rng.integers(len(fam.entries(base)) - 1))
+        k = 1 + int(rng.integers(fam.size(base) - 1))
         w = _disk_offset(rng, fam.disk_radius(eps / 2.0))
-        data = _moved(fam, base, [(k, w)])
+        data = fam.moved(base, k, [w])
         eps /= 2.0
         pre += (abs(w),)
 
@@ -358,15 +361,16 @@ def open_gap(data: Data, target: float, eps: float, seed: int,
     # a single letter of an elliptic partner is elliptic, so without a
     # longer admissible length no word search can succeed
     words_ok = max(budget.word_lengths, default=0) > 1
-    n = len(fam.entries(base))
+    n = fam.size(base)
     radius = fam.disk_radius(eps / 2.0)
+    resonant = (fam.resonant(base, target) if budget.resonant_proposals
+                else None)
 
     def draw(trial: int) -> Data:
-        if budget.resonant_proposals and trial % 2 == 0:
-            return fam.resonant(base, rng, eps / 2.0, target)
+        if resonant is not None and trial % 2 == 0:
+            return resonant(rng, eps / 2.0)
         # independent offsets on every entry but the preserved first
-        return _moved(fam, base, enumerate(_disk_offsets(rng, radius, n - 1),
-                                           start=1))
+        return fam.moved(base, 1, _disk_offsets(rng, radius, n - 1))
 
     # Samples are drawn in blocks of 1, 2, 4, ... SCREEN_BLOCK and
     # screened by one batch product per block.  Nothing else draws from
@@ -557,7 +561,11 @@ def _cover(data, R, eps, seed):
                 f"gap opening failed at {fam.point_name} {target}: {failure}")
         common = math.lcm(common, int(round(fam.period(member) / T)))
         raw_members.append(member)
-        best = np.maximum(best, fam.lyapunov(member, grid))
+        # A covered point stays covered, so it can never again be the
+        # argmin or fail the stop test: rows are needed only where
+        # points are still open, and each energy is computed on its own.
+        open_ = np.flatnonzero(best <= KAPPA_THRESHOLD)
+        best[open_] = np.maximum(best[open_], fam.lyapunov(member, grid[open_]))
 
     members = []
     for member in raw_members:

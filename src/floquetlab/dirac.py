@@ -29,23 +29,55 @@ DOS_EDGE_MARGIN = 1e-6
 DOS_NODES_PER_SEGMENT = 24
 
 
-@dataclass(frozen=True)
 class PiecewisePotential:
-    """Periodic operator data: ordered (length, value) segments.
+    """Periodic operator data: ordered segments of constant value.
 
-    The period is the sum of the segment lengths, accumulated in order so
-    it is reproducible bit for bit.  Values are complex; the sup norm is
-    the largest modulus.
+    Held as two read-only arrays, lengths (float64) and values
+    (complex128); segments is a tuple of (length, value) pairs built on
+    each access.  The period is the sum of the segment lengths,
+    accumulated in order so it is reproducible bit for bit.  The sup
+    norm is the largest modulus.  Equal data compares and hashes equal.
     """
 
-    segments: tuple[tuple[float, complex], ...]
-
-    def __post_init__(self):
-        if not self.segments:
+    def __init__(self, segments: Iterable[tuple[float, complex]]):
+        pairs = tuple(segments)
+        if not pairs:
             raise ValueError("potential needs at least one segment")
-        for length, _ in self.segments:
-            if not length > 0:
-                raise ValueError(f"segment length {length} must be positive")
+        lengths = np.array([length for length, _ in pairs], dtype=float)
+        bad = lengths[~(lengths > 0)]
+        if bad.size:
+            raise ValueError(f"segment length {float(bad[0])} must be positive")
+        self._hold(lengths, np.array([v for _, v in pairs], dtype=complex))
+
+    @classmethod
+    def _of(cls, lengths: np.ndarray, values: np.ndarray) -> "PiecewisePotential":
+        """The potential holding these arrays as they are: no copy, no
+        check.  The arrays become read-only and may be shared."""
+        phi = cls.__new__(cls)
+        phi._hold(lengths, values)
+        return phi
+
+    def _hold(self, lengths: np.ndarray, values: np.ndarray) -> None:
+        lengths.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PiecewisePotential is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.lengths, other.lengths)
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.lengths.tobytes(), (self.values + 0.0).tobytes()))
+
+    def __repr__(self):
+        return f"PiecewisePotential(segments={self.segments!r})"
 
     @classmethod
     def constant(cls, value, period: float = 1.0) -> "PiecewisePotential":
@@ -59,7 +91,7 @@ class PiecewisePotential:
     def from_values(cls, lengths: Sequence[float], values: Sequence[complex]) -> "PiecewisePotential":
         if len(lengths) != len(values):
             raise ValueError("lengths and values differ in size")
-        return cls(segments=tuple((float(l), complex(v)) for l, v in zip(lengths, values)))
+        return cls(segments=zip(lengths, values))
 
     @classmethod
     def sample(cls, fn, period: float, n: int) -> "PiecewisePotential":
@@ -74,16 +106,18 @@ class PiecewisePotential:
         return cls(segments=tuple((h, complex(fn((i + 0.5) * h)))
                                   for i in range(n)))
 
+    @property
+    def segments(self) -> tuple[tuple[float, complex], ...]:
+        return tuple(zip(self.lengths.tolist(), self.values.tolist()))
+
     @cached_property
     def period(self) -> float:
-        total = 0.0
-        for length, _ in self.segments:
-            total += length
-        return total
+        # cumsum adds in order, as a loop would; np.sum is pairwise
+        return float(np.cumsum(self.lengths)[-1])
 
     @cached_property
     def boundaries(self) -> np.ndarray:
-        return _boundaries(self.segments)
+        return _boundaries(self.lengths)
 
     @cached_property
     def rows(self) -> list[list[float]]:
@@ -94,36 +128,45 @@ class PiecewisePotential:
 
     @property
     def sup_norm(self) -> float:
-        return max(abs(v) for _, v in self.segments)
+        # Python abs: numpy's complex modulus can differ in the last bit
+        return max(map(abs, self.values.tolist()))
 
     def value_at(self, x: float) -> complex:
         u = x - math.floor(x / self.period) * self.period
         k = int(np.searchsorted(self.boundaries, u, side="right")) - 1
-        k = min(max(k, 0), len(self.segments) - 1)
-        return self.segments[k][1]
+        k = min(max(k, 0), self.values.size - 1)
+        return self.values[k].item()
 
     def repeated(self, n: int) -> "PiecewisePotential":
         if n < 1:
             raise ValueError("repetition count must be >= 1")
-        return PiecewisePotential(segments=self.segments * n)
+        return PiecewisePotential._of(np.tile(self.lengths, n),
+                                      np.tile(self.values, n))
 
     def with_value(self, k: int, value) -> "PiecewisePotential":
-        segs = list(self.segments)
-        segs[k] = (segs[k][0], complex(value))
-        return PiecewisePotential(segments=tuple(segs))
+        values = self.values.copy()
+        values[k] = complex(value)
+        return PiecewisePotential._of(self.lengths, values)
+
+    def with_offsets(self, k: int, offsets) -> "PiecewisePotential":
+        """Values k, k+1, ... moved by the offsets, one each."""
+        values = self.values.copy()
+        values[k:k + len(offsets)] += offsets
+        return PiecewisePotential._of(self.lengths, values)
 
     def with_split(self, k: int) -> "PiecewisePotential":
         """Split segment k into two halves of the same value."""
-        segs = list(self.segments)
-        length, value = segs[k]
-        segs[k : k + 1] = [(length / 2.0, value), (length / 2.0, value)]
-        return PiecewisePotential(segments=tuple(segs))
+        k = range(self.lengths.size)[k]
+        lengths = np.insert(self.lengths, k, self.lengths[k] / 2.0)
+        lengths[k + 1] = lengths[k]
+        return PiecewisePotential._of(lengths,
+                                      np.insert(self.values, k, self.values[k]))
 
 
-def _boundaries(segments) -> np.ndarray:
+def _boundaries(lengths: np.ndarray) -> np.ndarray:
     """Segment boundaries from 0 to the period, accumulated in order."""
-    b = np.zeros(len(segments) + 1)
-    np.cumsum([l for l, _ in segments], out=b[1:])
+    b = np.zeros(lengths.size + 1)
+    np.cumsum(lengths, out=b[1:])
     return b
 
 
@@ -132,10 +175,10 @@ def concatenate(potentials: Iterable[PiecewisePotential]) -> PiecewisePotential:
     blocks = list(potentials)
     if len(blocks) == 1:
         return blocks[0]
-    segs: list[tuple[float, complex]] = []
-    for p in blocks:
-        segs.extend(p.segments)
-    return PiecewisePotential(segments=tuple(segs))
+    if not blocks:
+        raise ValueError("potential needs at least one segment")
+    return PiecewisePotential._of(np.concatenate([p.lengths for p in blocks]),
+                                  np.concatenate([p.values for p in blocks]))
 
 
 def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
@@ -147,7 +190,7 @@ def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
     ratio1, ratio2 = span / p1.period, span / p2.period
     if abs(ratio1 - round(ratio1)) > 1e-9 or abs(ratio2 - round(ratio2)) > 1e-9:
         raise ValueError("periods are not commensurate")
-    pieces = [(p, _boundaries(p.segments), int(round(ratio)))
+    pieces = [(p, _boundaries(p.lengths), int(round(ratio)))
               for p, ratio in ((p1, ratio1), (p2, ratio2))]
     cuts = np.array(sorted(set(np.concatenate([
         (np.arange(rep)[:, None] * p.period + bounds[:-1]).ravel()
@@ -158,8 +201,8 @@ def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
         # the segment of each midpoint, as value_at finds it
         u = mids - np.floor(mids / p.period) * p.period
         k = np.searchsorted(bounds, u, side="right") - 1
-        k = np.minimum(np.maximum(k, 0), len(p.segments) - 1)
-        values.append(np.array([v for _, v in p.segments])[k])
+        k = np.minimum(np.maximum(k, 0), p.values.size - 1)
+        values.append(p.values[k])
     # Python abs: numpy's complex modulus can differ in the last bit
     return max(map(abs, (values[0] - values[1]).tolist()), default=0.0)
 
@@ -208,8 +251,9 @@ def transfer(phi: PiecewisePotential, x: float, y: float, z) -> np.ndarray:
     T = phi.period
     shift = math.floor(x / T) * T
     x0, y0 = x - shift, y - shift
-    bounds = _boundaries(phi.segments)
-    nseg = len(phi.segments)
+    bounds = _boundaries(phi.lengths)
+    values = phi.values.tolist()
+    nseg = len(values)
     per = int(x0 // T)
     u = x0 - per * T
     seg = min(max(int(np.searchsorted(bounds, u, side="right")) - 1, 0), nseg - 1)
@@ -220,7 +264,7 @@ def transfer(phi: PiecewisePotential, x: float, y: float, z) -> np.ndarray:
         upper = min(seg_end, y0)
         dt = upper - pos
         if dt > 0:
-            M = step_matrix(phi.segments[seg][1], z, dt) @ M
+            M = step_matrix(values[seg], z, dt) @ M
         if upper >= y0:
             return M
         pos = seg_end
@@ -280,10 +324,9 @@ def _stepper(lengths: np.ndarray, values: np.ndarray):
 
 def _period_product(phi: PiecewisePotential, lams: np.ndarray) -> su11.Su11Batch:
     """One-period products at real energies."""
-    step = _stepper(np.array([length for length, _ in phi.segments])[:, None],
-                    np.array([c for _, c in phi.segments])[:, None])
+    step = _stepper(phi.lengths[:, None], phi.values[:, None])
     return su11.batch_product(lambda lo, hi: step(lams[lo:hi]),
-                              len(phi.segments), lams.size)
+                              phi.lengths.size, lams.size)
 
 
 def monodromies(potentials: Sequence[PiecewisePotential],
@@ -291,12 +334,12 @@ def monodromies(potentials: Sequence[PiecewisePotential],
     """Monodromies of several potentials at one real energy, one column
     each.  Shorter potentials are padded with zero-length segments,
     whose steps are the identity."""
-    nseg = max(len(p.segments) for p in potentials)
+    nseg = max(p.lengths.size for p in potentials)
     lengths = np.zeros((nseg, len(potentials)))
     values = np.zeros((nseg, len(potentials)), dtype=complex)
     for j, p in enumerate(potentials):
-        lengths[:len(p.segments), j], values[:len(p.segments), j] = zip(
-            *p.segments)
+        lengths[:p.lengths.size, j] = p.lengths
+        values[:p.values.size, j] = p.values
     step = _stepper(lengths, values)
     return su11.batch_product(lambda lo, hi: step(lam, slice(lo, hi)),
                               nseg, len(potentials))

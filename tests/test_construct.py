@@ -222,6 +222,52 @@ def test_cmv_cover_rejects_partner_outside_group():
     assert len(members) == 5
 
 
+@pytest.mark.parametrize("kind", ["dirac", "cmv"])
+def test_cover_rows_only_where_open(monkeypatch, kind):
+    # every row the cover search asks for is also computed on the full
+    # grid; replaying the full rows gives the same open points and targets
+    fam = construct.FAMILIES[kind]
+    module, name = (dirac, "lyapunov_profile") if kind == "dirac" else (
+        cmv, "cmv_lyapunov_profile")
+    grid = fam.grid(2.0, construct.COVER_GRID_POINTS)
+    calls, targets = [], []
+
+    def row(data, points, _fn=getattr(module, name)):
+        full = _fn(data, grid)
+        got = _fn(data, points)
+        index = np.flatnonzero(np.isin(grid, points))
+        assert index.size == len(points)
+        assert got.tobytes() == full[index].tobytes()
+        calls.append((index, full, targets[-1] if targets else None))
+        return got
+
+    def gap(data, target, *args, _fn=construct.open_gap):
+        targets.append(target)
+        return _fn(data, target, *args)
+    monkeypatch.setattr(module, name, row)
+    monkeypatch.setattr(construct, "open_gap", gap)
+    if kind == "dirac":
+        members = construct.resolvent_cover(FREE, 2.0, 0.3, 41)
+    else:
+        members = construct.cmv_resolvent_cover(
+            cmv.VerblunskyCycle((0.5 + 0j,)), 0.3, 41)
+    assert len(members) >= 4 and len(calls) >= len(members)
+    (index, base_row, _), rows = calls[0], calls[1:]
+    assert index.size == grid.size
+    # the full-grid rule: a running maximum of full rows
+    best = np.full(grid.size, -1.0)
+    if base_row.max() > construct.KAPPA_THRESHOLD:
+        best = np.maximum(best, base_row)
+    for index, full, target in rows:
+        worst = int(np.argmin(best))
+        assert best[worst] <= construct.KAPPA_THRESHOLD
+        assert target == grid[worst]
+        assert index.tolist() == np.flatnonzero(
+            best <= construct.KAPPA_THRESHOLD).tolist()
+        best = np.maximum(best, full)
+    assert best.min() > construct.KAPPA_THRESHOLD
+
+
 def test_family_entries_see_rebound_library_functions(monkeypatch):
     # perfbench/tracer.py times layers by rebinding module attributes, so
     # the construction must look library functions up at call time
@@ -344,8 +390,8 @@ def test_disk_offsets_match_sequential_draws():
         assert rng.uniform() == ref.uniform()
 
 
-def sequential_resonant(phi, rng, radius, lam):
-    # the proposal drawn and summed one piece at a time
+def per_draw_resonant(phi, rng, radius, lam):
+    # the proposal with its piece layout rebuilt on every draw
     T = phi.period
     direction = -1.0 if lam >= 0 else 1.0
     nu_star = round(abs(lam) * T / math.pi)
@@ -360,37 +406,44 @@ def sequential_resonant(phi, rng, radius, lam):
                       (radius / side_div) * rng.uniform(),
                       rng.uniform(0.0, construct.TWO_PI)))
     h_target = min(math.pi / (2.0 * abs(lam) + 2.0), T / 8.0)
-    segs = []
+    split = {}
+    hs, values, mids = [], [], []
     x = 0.0
     for length, value in phi.segments:
-        pieces = max(1, int(math.ceil(length / h_target)))
-        h = length / pieces
-        for i in range(pieces):
-            mid = x + (i + 0.5) * h
-            if not segs:
-                segs.append((h, value))
-                continue
-            offset = complex(sum(
-                a * np.exp(1j * (ph + direction * construct.TWO_PI * nu * mid
-                                 / T))
-                for nu, a, ph in modes))
-            segs.append((h, value + offset))
+        if length not in split:
+            pieces = max(1, int(math.ceil(length / h_target)))
+            split[length] = (pieces, length / pieces)
+        pieces, h = split[length]
+        hs += [h] * pieces
+        values += [value] * pieces
+        mids.append(x + (np.arange(pieces) + 0.5) * h)
         x += length
-    return segs
+    mid = np.concatenate(mids)[1:]
+    offset = 0
+    for nu, a, ph in modes:
+        offset = offset + a * np.exp(
+            1j * (ph + direction * construct.TWO_PI * nu * mid / T))
+    return dirac.PiecewisePotential(segments=((hs[0], values[0]),) + tuple(
+        zip(hs[1:], [v + w for v, w in zip(values[1:], offset.tolist())])))
 
 
 def test_resonant_offsets_match_sequential_draws():
     two = dirac.PiecewisePotential.from_values([0.7, 0.3], [0.2, -0.1j])
+    uneven = dirac.PiecewisePotential.from_values(
+        [0.25, 1.5, 0.125, 0.8], [0.1, 0.3j, -0.2, 0.05 + 0.05j])
     cases = [(FREE.repeated(24), 1.9), (FREE.repeated(12), -0.4),
-             (two.repeated(6), 0.05), (FREE.with_split(0), 1.2)]
+             (two.repeated(6), 0.05), (FREE.with_split(0), 1.2),
+             (uneven.repeated(3), -2.7), (FREE, 0.0)]
     for seed, (phi, lam) in enumerate(cases):
-        for draw in range(6):
-            rng = np.random.default_rng([seed, draw])
-            ref = np.random.default_rng([seed, draw])
-            got = construct._resonant_potential(phi, rng, 0.15, lam)
-            want = sequential_resonant(phi, ref, 0.15, lam)
+        draw = construct._resonant_potentials(phi, lam)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        # one layout serves every draw of a search
+        for radius in (0.15, 0.15, 0.3, 0.05, 0.15, 0.15):
+            got = draw(rng, radius)
+            want = per_draw_resonant(phi, ref, radius, lam)
+            assert got == want
             assert [(l, v.real, v.imag) for l, v in got.segments] == [
-                (l, v.real, v.imag) for l, v in want]
+                (l, v.real, v.imag) for l, v in want.segments]
             assert rng.uniform() == ref.uniform()
 
 

@@ -320,3 +320,96 @@ def test_sup_distance_matches_pointwise_scan():
                    for a, b in zip(cuts[:-1], cuts[1:]))
         assert dirac.sup_distance(base, moved) == want
         assert dirac.sup_distance(moved, base) == want
+
+
+# ---------------------------------------------------------------------------
+# Array-backed segment store
+# ---------------------------------------------------------------------------
+
+def bits(x):
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def tuple_period(segs):
+    total = 0.0
+    for length, _ in segs:
+        total += length
+    return total
+
+
+def tuple_value_at(segs, x):
+    # value_at over the (length, value) tuples
+    period = tuple_period(segs)
+    bounds = np.zeros(len(segs) + 1)
+    np.cumsum([l for l, _ in segs], out=bounds[1:])
+    u = x - math.floor(x / period) * period
+    k = int(np.searchsorted(bounds, u, side="right")) - 1
+    return segs[min(max(k, 0), len(segs) - 1)][1]
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_array_store_matches_tuple_path(n):
+    rng = np.random.default_rng(n)
+    segs = tuple((float(l), complex(re, im)) for l, re, im in zip(
+        rng.uniform(0.05, 1.0, n), rng.normal(size=n), rng.normal(size=n)))
+    phi = dirac.PiecewisePotential(segments=segs)
+    assert phi.segments == segs
+    assert all(type(l) is float and type(v) is complex
+               for l, v in phi.segments)
+    assert [(l.hex(), *bits(v)) for l, v in phi.segments] == [
+        (l.hex(), *bits(v)) for l, v in segs]
+    assert phi.period.hex() == tuple_period(segs).hex()
+    bounds = np.zeros(n + 1)
+    np.cumsum([l for l, _ in segs], out=bounds[1:])
+    assert phi.boundaries.tobytes() == bounds.tobytes()
+    assert phi.rows == [[l, v.real, v.imag] for l, v in segs]
+    assert all(type(x) is float for row in phi.rows for x in row)
+    assert phi.sup_norm.hex() == max(abs(v) for _, v in segs).hex()
+    T = phi.period
+    for x in list(rng.uniform(-2 * T, 3 * T, 50)) + list(bounds) + [-T, 2 * T]:
+        got = phi.value_at(x)
+        assert type(got) is complex
+        assert bits(got) == bits(tuple_value_at(segs, x))
+
+    other = dirac.PiecewisePotential(segments=segs[::-1])
+    assert phi.repeated(3).segments == segs * 3
+    assert dirac.concatenate([phi, other, phi]).segments == (
+        segs + segs[::-1] + segs)
+    k = int(rng.integers(n))
+    split = list(segs)
+    split[k:k + 1] = [(segs[k][0] / 2.0, segs[k][1])] * 2
+    assert phi.with_split(k).segments == tuple(split)
+    moved = list(segs)
+    moved[k] = (segs[k][0], 0.25 - 0.5j)
+    assert phi.with_value(k, 0.25 - 0.5j).segments == tuple(moved)
+    offsets = rng.normal(size=n - k) + 1j * rng.normal(size=n - k)
+    moved = segs[:k] + tuple((l, v + w) for (l, v), w in zip(
+        segs[k:], offsets.tolist()))
+    assert [bits(v) for _, v in phi.with_offsets(k, offsets).segments] == [
+        bits(v) for _, v in moved]
+
+    twin = dirac.PiecewisePotential(segments=list(segs))
+    assert twin == phi and hash(twin) == hash(phi)
+    assert phi.with_value(k, segs[k][1] + 1.0) != phi
+    assert phi != segs
+    with pytest.raises(ValueError):
+        phi.lengths[0] = 1.0
+    with pytest.raises(ValueError):
+        phi.values[-1] = 0j
+    with pytest.raises(AttributeError):
+        phi.values = np.zeros(n, dtype=complex)
+
+
+def test_signed_zero_values_compare_and_hash_equal():
+    a = dirac.PiecewisePotential(segments=((0.5, complex(-0.0, 0.0)),
+                                           (0.5, complex(0.0, -0.0))))
+    b = dirac.PiecewisePotential(segments=((0.5, 0j), (0.5, 0j)))
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("segments", [(), ((0.0, 0j),), ((1.0, 0j), (-0.5, 0j)),
+                                      ((math.nan, 0j),)])
+def test_segments_constructor_rejects_bad_data(segments):
+    with pytest.raises(ValueError):
+        dirac.PiecewisePotential(segments=segments)

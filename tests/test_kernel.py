@@ -187,9 +187,9 @@ def test_gap_screen_traces_match_scalar_path(seed):
         # columns of different lengths, padded with identity steps
         phis = [random_potential(rng, max_segments=40, sup=0.5)
                 for _ in range(7)]
-        phis.append(construct._resonant_potential(lifted, rng, 0.15, lam))
-        phis.append(construct._moved(construct.DIRAC, lifted, enumerate(
-            construct._disk_offsets(rng, 0.15, 23), start=1)))
+        phis.append(construct._resonant_potentials(lifted, lam)(rng, 0.15))
+        phis.append(lifted.with_offsets(1, construct._disk_offsets(
+            rng, 0.15, 23)))
         assert_screen_sound(dirac.monodromies(phis, lam),
                             [dirac.monodromy(phi, lam) for phi in phis])
         theta = float(rng.uniform(-TWO_PI, 2.0 * TWO_PI))
