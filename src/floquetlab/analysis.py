@@ -27,10 +27,9 @@ STEP_FLOOR = 1e-7
 
 
 def _intervals_of(S) -> tuple[tuple[float, float], ...]:
-    if isinstance(S, dirac.BandSet):
+    # a BandSet or an ArcSet, or a raw sequence of pairs
+    if hasattr(S, "intervals"):
         return S.intervals
-    if isinstance(S, cmv.ArcSet):
-        return S.arcs
     return tuple((float(a), float(b)) for a, b in S)
 
 

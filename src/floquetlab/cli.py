@@ -142,7 +142,7 @@ def cmd_bands(cfg: dict, args) -> int:
     spectrum = fam.bands(
         _data_from(cfg, kind), _number(cfg.get("window", 3.0), "window"), tol,
         _number(cfg.get("oversample", 1.0), "oversample"))
-    intervals = fam.intervals(spectrum)
+    intervals = spectrum.intervals
     rows = [[i, a, b, b - a] for i, (a, b) in enumerate(intervals)]
     summary = {
         "kind": kind,

@@ -180,6 +180,11 @@ class ArcSet:
     arcs: tuple[tuple[float, float], ...]
 
     @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        """The stored arcs, as BandSet.intervals."""
+        return self.arcs
+
+    @property
     def count(self) -> int:
         return len(self.arcs)
 
@@ -232,30 +237,12 @@ def cmv_bands_of_groups(groups: Sequence[tuple[VerblunskyCycle, int]],
 
 
 def _scan_arcs(profile, q: int, tol: float) -> ArcSet:
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    # cell i runs from grid[i] to grid[i] + 2 pi / npts, the last one to
+    # 2 pi, where the profile equals its value at 0
     npts = max(4096, 64 * q)
     grid = np.linspace(0.0, TWO_PI, npts, endpoint=False)
-    inside = np.abs(profile(grid)) <= 2.0
-    if not inside.any():
-        return ArcSet(arcs=())
-    if inside.all():
-        return ArcSet(arcs=((0.0, TWO_PI),))
-
-    spacing = TWO_PI / npts
-    # close the scan cyclically: transitions between i and i+1 mod npts
-    trans = np.flatnonzero(inside != np.roll(inside, -1))
-    exits = inside[trans]                    # inside -> outside edges
-    lo = np.where(exits, grid[trans], grid[trans] + spacing)
-    hi = np.where(exits, grid[trans] + spacing, grid[trans])
-    edges = su11.bisect_band_edges(profile, lo, hi, spacing, tol) % TWO_PI
-
-    # an arc ends at each inside -> outside edge and starts at the edge
-    # before it, cyclically; an arc across theta = 0 is cut there
-    arcs: list[tuple[float, float]] = []
-    for a, b in zip(np.roll(edges, 1)[exits].tolist(), edges[exits].tolist()):
-        arcs += [(a, TWO_PI), (0.0, b)] if b < a else [(a, b)]
-    return ArcSet(arcs=tuple(sorted(arcs)))
+    return ArcSet(arcs=su11.scan_bands(profile, np.append(grid, TWO_PI),
+                                       grid + TWO_PI / npts, tol, q + 1))
 
 
 def cmv_lyapunov(alpha: VerblunskyCycle, theta: float) -> float:

@@ -128,9 +128,9 @@ class Family:
     concat: Callable
     distance: Callable                       # between equal-length data
     grid: Callable                           # (R, n) -> cover grid
+    cell_ends: Callable                      # cover grid -> its cell ends
     bands: Callable                          # (data, R, tol, oversample)
     bands_of_groups: Callable                # (groups, R, tol)
-    intervals: Callable                      # spectrum -> its intervals
 
 
 # Resonant proposal shapes by mode count: (main divisor, low, span, side
@@ -242,9 +242,9 @@ DIRAC = Family(
     concat=dirac.concatenate,
     distance=dirac.sup_distance,
     grid=lambda R, n: np.linspace(-R, R, n),
+    cell_ends=lambda points: points,
     bands=lambda phi, R, tol, over: dirac.bands(phi, R, tol, oversample=over),
     bands_of_groups=lambda g, R, tol: dirac.bands_of_groups(g, R, tol),
-    intervals=lambda spectrum: spectrum.intervals,
 )
 
 CMV = Family(
@@ -269,9 +269,10 @@ CMV = Family(
     concat=cmv.concatenate_cycles,
     distance=cmv.poincare_delta,
     grid=lambda R, n: np.linspace(0.0, TWO_PI, n, endpoint=False),
+    # the last cell closes the circle at 2 pi, the first point again
+    cell_ends=lambda points: np.append(points, TWO_PI),
     bands=lambda alpha, R, tol, over: cmv.cmv_bands(alpha, tol),
     bands_of_groups=lambda g, R, tol: cmv.cmv_bands_of_groups(g, tol),
-    intervals=lambda spectrum: spectrum.arcs,
 )
 
 FAMILIES = {fam.kind: fam for fam in (DIRAC, CMV)}
@@ -285,15 +286,9 @@ def _family(data: Data) -> Family:
 # Gap opening
 # ---------------------------------------------------------------------------
 
-def _disk_offset(rng: np.random.Generator, radius: float) -> complex:
-    u = rng.uniform()
-    v = rng.uniform()
-    return complex(radius * math.sqrt(u) * np.exp(2j * math.pi * v))
-
-
 def _disk_offsets(rng: np.random.Generator, radius: float,
                   n: int) -> np.ndarray:
-    """n offsets, the same as n successive _disk_offset draws."""
+    """n uniform offsets in the disk of the radius; each draws u, then v."""
     u, v = rng.uniform(size=(n, 2)).T
     return radius * np.sqrt(u) * np.exp(2j * math.pi * v)
 
@@ -347,7 +342,7 @@ def open_gap(data: Data, target: float, eps: float, seed: int,
                 f"case-3 retries exhausted at {fam.target_name}={target}, "
                 f"|D|={abs(D):.6f}")
         k = 1 + int(rng.integers(fam.size(base) - 1))
-        w = _disk_offset(rng, fam.disk_radius(eps / 2.0))
+        w = complex(_disk_offsets(rng, fam.disk_radius(eps / 2.0), 1)[0])
         data = fam.moved(base, k, [w])
         eps /= 2.0
         pre += (abs(w),)
@@ -475,6 +470,8 @@ KAPPA_THRESHOLD = 1e-3
 MAX_MEMBERS = 96
 # Grid of the cover search and of cover_kappa.
 COVER_GRID_POINTS = 2048
+# Band-edge tolerance of the cover check between grid points.
+HOLE_TOL = 1e-8
 # Gap search of one cover member; each ladder rung sets the admissible
 # word lengths and the trace margin.
 COVER_BUDGET = GapSearchBudget(max_samples=150, resonant_proposals=True,
@@ -497,10 +494,12 @@ def resolvent_cover(data: Data, R: Optional[float], eps: float,
 
     Repeatedly opens a gap at the point with the currently smallest
     best-member Lyapunov exponent until the grid minimax exceeds the
-    positivity threshold.  Verification is numerical: a fine grid plus
-    margin, not a rigorous enclosure.  Returns members sharing a period
-    that is a multiple of the data's; when the data itself already
-    covers the window, the cover is [data].
+    positivity threshold, then at the midpoint of each hole between grid
+    points where every member is in its spectrum, until none is left.
+    Verification is numerical, not a rigorous enclosure: it assumes no
+    member has a band narrower than the grid spacing.  Returns members
+    sharing a period that is a multiple of the data's; when the data
+    itself already covers the window, the cover is [data].
     """
     return _cover(data, R, eps, seed)
 
@@ -519,28 +518,44 @@ def _cover(data, R, eps, seed):
     lifts = {lift: data.repeated(lift) for lift, _, _ in ATTEMPT_LADDER}
 
     rng = np.random.default_rng(seed)
-    grid = fam.grid(R, COVER_GRID_POINTS)
+    points = fam.grid(R, COVER_GRID_POINTS)
+    ends, pair = _cells(fam, points)
 
     raw_members: list[Data] = []
     # Lyapunov rows are >= 0, so the -1 fill marks points no member covers
-    best = np.full(grid.size, -1.0)
+    best = np.full(points.size, -1.0)
+    # cells known to hold no hole: cell i runs from point i to ends[i + 1]
+    settled = np.zeros(pair.size, dtype=bool)
     common = 1
 
-    base_row = fam.lyapunov(data, grid)
+    base_row = fam.lyapunov(data, points)
     if base_row.max() > KAPPA_THRESHOLD:
         raw_members.append(data)
         best = np.maximum(best, base_row)
+        settled = (base_row[:pair.size] > 0.0) & (base_row[pair] > 0.0)
 
     while True:
         worst = int(np.argmin(best))
         if best[worst] > KAPPA_THRESHOLD:
-            break
+            # every point is covered; a hole between points becomes a
+            # new point, uncovered, and splits its cell
+            holes = _holes(fam, raw_members, ends, np.flatnonzero(~settled))
+            if not holes:
+                break
+            at = np.searchsorted(points, holes)
+            points = np.insert(points, at, holes)
+            best = np.insert(best, at, -1.0)
+            ends, pair = _cells(fam, points)
+            new = np.insert(np.zeros(points.size - at.size, dtype=bool), at,
+                            True)
+            settled = ~(new[:pair.size] | new[pair])
+            continue
         if len(raw_members) >= MAX_MEMBERS:
             raise BudgetExhausted(
                 f"cover needs more than {MAX_MEMBERS} members; "
-                f"worst uncovered {fam.point_name} {grid[worst]} with "
+                f"worst uncovered {fam.point_name} {points[worst]} with "
                 f"max Lyapunov {best[worst]:.3e}")
-        target = float(grid[worst])
+        target = float(points[worst])
         member = None
         failure: Exception = BudgetExhausted("no attempts made")
         for lift, word_length, margin in ATTEMPT_LADDER:
@@ -564,8 +579,19 @@ def _cover(data, R, eps, seed):
         # A covered point stays covered, so it can never again be the
         # argmin or fail the stop test: rows are needed only where
         # points are still open, and each energy is computed on its own.
-        open_ = np.flatnonzero(best <= KAPPA_THRESHOLD)
-        best[open_] = np.maximum(best[open_], fam.lyapunov(member, grid[open_]))
+        # The row also takes the covered other ends of cells with an
+        # open end, so every member is known at both ends of each cell
+        # that was open when it came, and settles the cells it covers.
+        open_ = best <= KAPPA_THRESHOLD
+        asked = open_.copy()
+        asked[:pair.size] |= open_[pair]
+        asked[pair] |= open_[:pair.size]
+        at = np.flatnonzero(asked)
+        row = fam.lyapunov(member, points[at])
+        best[at] = np.maximum(best[at], row)
+        gapped = np.zeros(points.size, dtype=bool)
+        gapped[at] = row > 0.0
+        settled |= gapped[:pair.size] & gapped[pair]
 
     members = []
     for member in raw_members:
@@ -574,12 +600,55 @@ def _cover(data, R, eps, seed):
     return members
 
 
+def _cells(fam: Family, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, pair): cell i runs from points[i] to ends[i + 1], which is
+    points[pair[i]] (on the circle, the last cell closes at 2 pi)."""
+    ends = fam.cell_ends(points)
+    return ends, np.arange(1, ends.size) % points.size
+
+
+def _holes(fam: Family, members: list, ends: np.ndarray,
+           cells: np.ndarray) -> list[float]:
+    """Midpoints of the holes of a cover in the cells [ends[i], ends[i+1]]
+    listed: nonempty sets where every member is in its spectrum.
+
+    A member with a positive Lyapunov exponent at both ends of a cell
+    covers the cell, assuming no band of a member is narrower than a
+    cell.  Each member is evaluated once, at the ends of all the cells.
+    In a cell no member covers, each member in its spectrum at one end
+    only has one band edge there, found by a one-cell su11.scan_bands,
+    and the members' spectra in the cell are intersected.
+    """
+    if not cells.size:
+        return []
+    where, back = np.unique(np.concatenate((cells, cells + 1)),
+                            return_inverse=True)
+    gapped = np.array([(fam.lyapunov(mem, ends[where]) > 0.0)[back]
+                       for mem in members])
+    left, right = gapped[:, :cells.size], gapped[:, cells.size:]
+    still = ~(left & right).any(axis=0)
+    holes = []
+    for i, left_i, right_i in zip(cells[still], left[:, still].T,
+                                  right[:, still].T):
+        spans = [su11.scan_bands(
+            lambda xs, mem=mem: np.where(fam.lyapunov(mem, xs) > 0.0, 3.0, 0.0),
+            ends[i:i + 2], ends[i + 1:i + 2], HOLE_TOL, 1)
+            for mem, gap_l, gap_r in zip(members, left_i, right_i)
+            if gap_l != gap_r]
+        lo = max([ends[i]] + [a for band in spans for a, _ in band])
+        hi = min([ends[i + 1]] + [b for band in spans for _, b in band])
+        if all(spans) and lo <= hi:
+            holes.append(0.5 * (lo + hi))
+    return holes
+
+
 def cover_kappa(members: Sequence[Data], R: Optional[float] = None) -> float:
     """Grid minimax Lyapunov exponent over [-R, R] (Dirac) or the circle
     (CMV): min over the grid of the best member exponent."""
     fam = _family(members[0])
     grid = fam.grid(R, COVER_GRID_POINTS)
-    rows = np.vstack([fam.lyapunov(mem, grid) for mem in members])
+    # padded covers repeat members, whose rows cannot change the max
+    rows = np.vstack([fam.lyapunov(mem, grid) for mem in dict.fromkeys(members)])
     return float(np.min(np.max(rows, axis=0)))
 
 
@@ -612,7 +681,6 @@ class ConstructionReport:
         return len(self.cover)
 
     def to_json_dict(self) -> dict:
-        intervals = FAMILIES[self.kind].intervals(self.spectrum)
         return {
             "kind": self.kind,
             "cover": [mem.rows for mem in self.cover],
@@ -622,7 +690,7 @@ class ConstructionReport:
             "block_period": self.block_period,
             "schedule": list(self.schedule),
             "final_period": self.final_period,
-            "spectrum": [list(iv) for iv in intervals],
+            "spectrum": [list(iv) for iv in self.spectrum.intervals],
             "measure": self.measure,
             "c1": self.c1,
             "epsilon": self.epsilon,

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import su11
-from .errors import BandCountExceeded, NotElliptic, NotInBandInterior
+from .errors import NotElliptic, NotInBandInterior
 
 # Refuse density-of-states evaluation when |D| is this close to 2.
 DOS_EDGE_MARGIN = 1e-6
@@ -427,47 +427,12 @@ def bands_of_groups(groups: Sequence[tuple[PiecewisePotential, int]],
 
 def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
                 oversample: float) -> BandSet:
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     spacing0 = math.pi / (8.0 * period * (1.0 + sup) * max(oversample, 1.0))
     npts = max(int(math.ceil(2.0 * R / spacing0)) + 1, 9)
     grid = np.linspace(-R, R, npts)
-    spacing = grid[1] - grid[0]
-    inside = np.abs(profile(grid)) <= 2.0
-
-    idx = np.flatnonzero(inside[:-1] != inside[1:])
-    exits = inside[idx]                      # inside -> outside edges
-    edges = np.empty(0)
-    if idx.size:
-        lo = np.where(exits, grid[idx], grid[idx + 1])   # inside end
-        hi = np.where(exits, grid[idx + 1], grid[idx])   # outside end
-        edges = su11.bisect_band_edges(profile, lo, hi, spacing, tol)
-
-    # a band starts at an outside -> inside edge (or at -R) and ends at
-    # the next inside -> outside edge (or at R)
-    starts = ([-R] if inside[0] else []) + edges[~exits].tolist()
-    ends = edges[exits].tolist() + ([R] if inside[-1] else [])
-    intervals = [(a, b) for a, b in zip(starts, ends) if b > a]
-
-    # merge across numerically closed gaps
-    merged: list[tuple[float, float]] = []
-    for iv in intervals:
-        if merged:
-            gap = iv[0] - merged[-1][1]
-            if gap <= spacing:
-                mid_gap = 0.5 * (iv[0] + merged[-1][1])
-                dmid = abs(float(profile(np.array([mid_gap]))[0]))
-                if dmid <= 2.0 + 1e-10:
-                    merged[-1] = (merged[-1][0], iv[1])
-                    continue
-        merged.append(iv)
-
-    result = BandSet(intervals=tuple(merged), window=R)
-    bound = _band_count_bound(period, sup, R)
-    if result.count > bound:
-        raise BandCountExceeded(
-            f"{result.count} bands exceed the Floquet bound {bound}")
-    return result
+    return BandSet(intervals=su11.scan_bands(
+        profile, grid, grid[1:], tol, _band_count_bound(period, sup, R)),
+        window=R)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ modules share: membership defect, trace classification, Moebius action
 on the disk, conjugation of elliptic elements to diagonal rotations,
 the Cayley transform to SL(2,R), Cayley-Hamilton lower bounds used by
 Gordon-type estimates, batched products of real-energy transfer
-matrices stored as the pair (a, b) of [[a, b], [conj b, conj a]], and a
-deterministic search for hyperbolic elements in the semigroup generated
-by two elliptic matrices.
+matrices stored as the pair (a, b) of [[a, b], [conj b, conj a]], the
+band scan of a discriminant profile, and a deterministic search for
+hyperbolic elements in the semigroup generated by two elliptic matrices.
 
 Outside the batched kernel, all matrices are 2x2 complex numpy arrays.
 """
@@ -23,8 +23,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (CommutingInput, NonRealTrace, NotElliptic, NotInGroup,
-                     WordNotFound)
+from .errors import (BandCountExceeded, CommutingInput, NonRealTrace,
+                     NotElliptic, NotInGroup, WordNotFound)
 
 # Membership and classification tolerances.  Transfer matrices are
 # products of closed-form exponentials, so only rounding error accumulates.
@@ -397,6 +397,52 @@ def bisect_band_edges(profile, lo: np.ndarray, hi: np.ndarray,
         lo = np.where(inside_mid, mid, lo)
         hi = np.where(inside_mid, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def scan_bands(profile, points: np.ndarray, right: np.ndarray, tol: float,
+               bound: int) -> tuple[tuple[float, float], ...]:
+    """Connected components of {|profile| <= 2} in [points[0], points[-1]],
+    sorted, with edges to within tol.
+
+    The cells [points[i], right[i]] tile the interval: right[i] is
+    points[i+1] up to rounding.  The profile is evaluated once at points;
+    a cell whose two ends differ in membership holds one band edge,
+    bisected on the cell, and a band holding an end of the interval is
+    clipped there.  A gap no wider than a cell whose midpoint has
+    |profile| within 1e-10 of 2 is numerically closed and merged.
+    Bands narrower than a cell can be missed.  Raises
+    BandCountExceeded when more than bound bands remain.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    inside = np.abs(profile(points)) <= 2.0
+    width = float(np.max(right - points[:-1]))
+    idx = np.flatnonzero(inside[:-1] != inside[1:])
+    exits = inside[idx]                      # inside -> outside edges
+    edges = np.empty(0)
+    if idx.size:
+        lo = np.where(exits, points[idx], right[idx])    # inside end
+        hi = np.where(exits, right[idx], points[idx])    # outside end
+        edges = bisect_band_edges(profile, lo, hi, width, tol)
+
+    # a band starts at an outside -> inside edge (or at the interval
+    # start) and ends at the next inside -> outside edge (or at its end)
+    starts = ([float(points[0])] if inside[0] else []) + edges[~exits].tolist()
+    ends = edges[exits].tolist() + ([float(points[-1])] if inside[-1] else [])
+    merged: list[tuple[float, float]] = []
+    for a, b in zip(starts, ends):
+        if not b > a:
+            continue
+        if merged and a - merged[-1][1] <= width:
+            mid = 0.5 * (a + merged[-1][1])
+            if abs(float(profile(np.array([mid]))[0])) <= 2.0 + 1e-10:
+                merged[-1] = (merged[-1][0], b)
+                continue
+        merged.append((a, b))
+    if len(merged) > bound:
+        raise BandCountExceeded(
+            f"{len(merged)} bands exceed the Floquet bound {bound}")
+    return tuple(merged)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from floquetlab import cmv, su11
-from floquetlab.errors import OutOfDisk
+from floquetlab.errors import BandCountExceeded, OutOfDisk
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,6 +84,18 @@ def test_bands_constant_half_arc():
     assert abs(a - math.pi / 3) < 1e-8
     assert abs(b - 5 * math.pi / 3) < 1e-8
     assert abs(arcs.measure - 4 * math.pi / 3) < 1e-7
+
+
+def test_bands_do_not_depend_on_the_representation():
+    # the doubled cycle's discriminant touches 2 at pi: a closed gap
+    alpha = cmv.VerblunskyCycle.constant(0.5, 1)
+    assert cmv.cmv_bands(alpha.repeated(2), 1e-8) == cmv.cmv_bands(alpha, 1e-8)
+
+
+def test_scan_beyond_the_arc_bound_raises():
+    # |3 cos(5 theta)| <= 2 on ten arcs, more than q + 1 = 2
+    with pytest.raises(BandCountExceeded):
+        cmv._scan_arcs(lambda ts: 3.0 * np.cos(5.0 * ts), 1, 1e-8)
 
 
 def test_arc_counts_reported_for_random_cycles():

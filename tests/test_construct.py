@@ -224,25 +224,28 @@ def test_cmv_cover_rejects_partner_outside_group():
 
 @pytest.mark.parametrize("kind", ["dirac", "cmv"])
 def test_cover_rows_only_where_open(monkeypatch, kind):
-    # every row the cover search asks for is also computed on the full
-    # grid; replaying the full rows gives the same open points and targets
+    # every row the grid phase of the cover search asks for is also
+    # computed on the full grid; replaying the full rows gives the same
+    # targets and row points: the open points and the other ends of
+    # their cells.  Later targets are holes between grid points.
     fam = construct.FAMILIES[kind]
     module, name = (dirac, "lyapunov_profile") if kind == "dirac" else (
         cmv, "cmv_lyapunov_profile")
+    profile = getattr(module, name)
     grid = fam.grid(2.0, construct.COVER_GRID_POINTS)
-    calls, targets = [], []
+    ends, pair = construct._cells(fam, grid)
+    # the base row comes first, then the row of each new member, after
+    # its gap search; the cover check's calls in between are not rows
+    rows, target_of_row = [], [None]
 
-    def row(data, points, _fn=getattr(module, name)):
-        full = _fn(data, grid)
-        got = _fn(data, points)
-        index = np.flatnonzero(np.isin(grid, points))
-        assert index.size == len(points)
-        assert got.tobytes() == full[index].tobytes()
-        calls.append((index, full, targets[-1] if targets else None))
+    def row(data, points):
+        got = profile(data, points)
+        if target_of_row:
+            rows.append((data, points, got, target_of_row.pop()))
         return got
 
     def gap(data, target, *args, _fn=construct.open_gap):
-        targets.append(target)
+        target_of_row[:] = [target]
         return _fn(data, target, *args)
     monkeypatch.setattr(module, name, row)
     monkeypatch.setattr(construct, "open_gap", gap)
@@ -251,21 +254,64 @@ def test_cover_rows_only_where_open(monkeypatch, kind):
     else:
         members = construct.cmv_resolvent_cover(
             cmv.VerblunskyCycle((0.5 + 0j,)), 0.3, 41)
-    assert len(members) >= 4 and len(calls) >= len(members)
-    (index, base_row, _), rows = calls[0], calls[1:]
-    assert index.size == grid.size
+    (_, points, base_row, _), rows = rows[0], rows[1:]
+    assert len(members) >= 4
+    assert len(rows) == len(members) - (base_row.max() > construct.KAPPA_THRESHOLD)
+    assert points.tobytes() == grid.tobytes()
+    targets = [target for *_, target in rows]
+    phase = (np.isin(targets, grid).tolist() + [False]).index(False)
     # the full-grid rule: a running maximum of full rows
     best = np.full(grid.size, -1.0)
     if base_row.max() > construct.KAPPA_THRESHOLD:
         best = np.maximum(best, base_row)
-    for index, full, target in rows:
+    for data, points, got, target in rows[:phase]:
         worst = int(np.argmin(best))
         assert best[worst] <= construct.KAPPA_THRESHOLD
         assert target == grid[worst]
-        assert index.tolist() == np.flatnonzero(
-            best <= construct.KAPPA_THRESHOLD).tolist()
+        open_ = best <= construct.KAPPA_THRESHOLD
+        asked = open_.copy()
+        asked[:pair.size] |= open_[pair]
+        asked[pair] |= open_[:pair.size]
+        assert points.tobytes() == grid[asked].tobytes()
+        full = profile(data, grid)
+        assert got.tobytes() == full[asked].tobytes()
         best = np.maximum(best, full)
     assert best.min() > construct.KAPPA_THRESHOLD
+    for target in targets[phase:]:
+        j = int(np.searchsorted(ends, target))
+        assert 0 < j < ends.size and ends[j - 1] < target < ends[j]
+    if kind == "cmv":
+        assert len(targets) > phase     # this cover had a hole
+
+
+def common_spectrum(members, R=None):
+    """The intervals where every member is in its spectrum: Dirac bands
+    in [-R, R], or CMV arcs when R is None."""
+    common = [(-math.inf, math.inf)]
+    for mem in dict.fromkeys(members):
+        spectrum = (cmv.cmv_bands(mem, 1e-8) if R is None
+                    else dirac.bands(mem, R, 1e-8))
+        common = [(max(a, c), min(b, d)) for a, b in common
+                  for c, d in spectrum.intervals if max(a, c) < min(b, d)]
+    return common
+
+
+def test_dirac_cover_has_no_hole_between_grid_points():
+    # checked at the grid points only, this cover had 47 members and left
+    # (-1.239556, -1.238915) in every member's spectrum
+    members = construct.resolvent_cover(FREE, 2.0, 0.3, 1637806335)
+    assert common_spectrum(members, 2.0) == []
+    assert common_spectrum(members[:47], 2.0) != []
+
+
+def test_cmv_cover_has_no_hole_between_grid_points():
+    # checked at the grid points only, this cover had 32 members and
+    # left (2.820052, 2.821329) and (4.495266, 4.496181) in every
+    # member's spectrum
+    members = construct.cmv_resolvent_cover(cmv.VerblunskyCycle((0j,)), 0.3,
+                                            52244900)
+    assert common_spectrum(members) == []
+    assert common_spectrum(members[:32]) != []
 
 
 def test_family_entries_see_rebound_library_functions(monkeypatch):
@@ -379,12 +425,19 @@ def test_wrong_batch_step_never_gives_a_cover(monkeypatch, family, wrong):
         run()
 
 
+def disk_offset(rng, radius):
+    # one scalar draw: u, then v
+    u = rng.uniform()
+    v = rng.uniform()
+    return complex(radius * math.sqrt(u) * np.exp(2j * math.pi * v))
+
+
 def test_disk_offsets_match_sequential_draws():
     for seed, n, radius in [(0, 1, 0.15), (1, 23, 0.15), (2, 47, 0.1487),
                             (3, 200, 1.0)]:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = construct._disk_offsets(rng, radius, n)
-        want = [construct._disk_offset(ref, radius) for _ in range(n)]
+        want = [disk_offset(ref, radius) for _ in range(n)]
         assert [(w.real, w.imag) for w in got] == [
             (w.real, w.imag) for w in want]
         assert rng.uniform() == ref.uniform()
