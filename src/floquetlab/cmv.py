@@ -110,30 +110,44 @@ def _szego_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, -r * values.conj()
 
 
+def _norm_bound(values: np.ndarray) -> np.ndarray:
+    """The log infinity norm bound of the product of the normalised
+    Szego steps, per column of the (coefficient, column) array values:
+    each step has log(|a| + |b|) = atanh |alpha|."""
+    return np.arctanh(np.abs(values)).sum(axis=0)
+
+
+def _stack(cycles: Sequence[VerblunskyCycle]):
+    """at(half) -> (steps, bound): the batch_product arguments of the
+    one-period products of cycles of one length, one column per cycle,
+    of the Szego steps normalised by z^(-1/2) at z = half**2:
+    a = half / rho and b = -conj(alpha) conj(half) / rho."""
+    values = np.array([cycle.values for cycle in cycles]).T[:, :, None]
+    r, rb = _szego_rows(values)
+    bound = _norm_bound(values)
+
+    def at(half):
+        half_conj = half.conj()
+        return ((lambda lo, hi: (r * half[lo:hi], rb * half_conj[lo:hi])),
+                np.broadcast_to(bound, (len(cycles), half.size)))
+
+    return at
+
+
 def _szego_product(alpha: VerblunskyCycle, half: np.ndarray) -> su11.Su11Batch:
-    """One-period products of the Szego steps normalised by z^(-1/2), at
-    z = half**2: a = half / rho and b = -conj(alpha) conj(half) / rho."""
-    r, rb = _szego_rows(np.array(alpha.values)[:, None])
-    half_conj = half.conj()
-
-    def steps(lo, hi):
-        return r * half[lo:hi], rb * half_conj[lo:hi]
-
-    return su11.batch_product(steps, alpha.q, half.size)
+    """One-period products of the normalised Szego steps at z = half**2."""
+    steps, bound = _stack([alpha])(half)
+    P = su11.batch_product(steps, alpha.q, bound)
+    return su11.Su11Batch(*(x[0] for x in P))
 
 
 def cmv_monodromies(cycles: Sequence[VerblunskyCycle],
                     theta: float) -> su11.Su11Batch:
     """Normalised monodromies of several cycles of one length at one
     angle, one column each."""
-    r, rb = _szego_rows(np.array([c.values for c in cycles]).T)
-    _, half = _angles(theta)
-    half_conj = half.conj()
-
-    def steps(lo, hi):
-        return r[:, lo:hi] * half, rb[:, lo:hi] * half_conj
-
-    return su11.batch_product(steps, r.shape[0], r.shape[1])
+    steps, bound = _stack(cycles)(_angles(theta)[1])
+    P = su11.batch_product(steps, cycles[0].q, bound)
+    return su11.Su11Batch(*(x[:, 0] for x in P))
 
 
 def _angles(thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -150,10 +164,13 @@ def _cmv_trace_profile(alpha: VerblunskyCycle, thetas) -> tuple[np.ndarray, np.n
 def grouped_cmv_trace_profile(groups: Sequence[tuple[VerblunskyCycle, int]],
                               thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monodromy traces of a cycle concatenation given as (cycle,
-    repetitions) groups, using matrix powers for the repeated blocks."""
+    repetitions) groups, with one period product per distinct cycle
+    (su11.grouped_product): distinct cycles of one length are stacked as
+    the columns of one batch product, angle block by angle block, and
+    each distinct (cycle, repetitions) power is computed once."""
     thetas, half = _angles(thetas)
-    return su11.batch_trace(su11.batch_concat(
-        (_szego_product(cycle, half), reps) for cycle, reps in groups), thetas)
+    return su11.batch_trace(su11.grouped_product(
+        groups, half, lambda alpha: alpha.q, _stack), thetas)
 
 
 def cmv_discriminant_profile(alpha: VerblunskyCycle, thetas) -> np.ndarray:

@@ -322,11 +322,32 @@ def _stepper(lengths: np.ndarray, values: np.ndarray):
     return step
 
 
+def _norm_bound(lengths: np.ndarray, values: np.ndarray):
+    """bound(lam): a bound on the log infinity norm of the product of the
+    segment steps, per column of the (segment, column) arrays lengths
+    and values, at the real energies lam (broadcast against the
+    columns): each step has log(|a| + |b|) <= length (|lam| + 2|c|)."""
+    period = lengths.sum(axis=0)
+    offset = 2.0 * (lengths * np.abs(values)).sum(axis=0)
+    return lambda lam: period * np.abs(lam) + offset
+
+
+def _stack(blocks: Sequence[PiecewisePotential]):
+    """at(lams) -> (steps, bound): the batch_product arguments of the
+    period products of blocks of one segment count at the real energies
+    lams, one column per block."""
+    lengths = np.stack([block.lengths for block in blocks], axis=1)[:, :, None]
+    values = np.stack([block.values for block in blocks], axis=1)[:, :, None]
+    step = _stepper(lengths, values)
+    bound = _norm_bound(lengths, values)
+    return lambda lams: (lambda lo, hi: step(lams[lo:hi]), bound(lams))
+
+
 def _period_product(phi: PiecewisePotential, lams: np.ndarray) -> su11.Su11Batch:
     """One-period products at real energies."""
-    step = _stepper(phi.lengths[:, None], phi.values[:, None])
-    return su11.batch_product(lambda lo, hi: step(lams[lo:hi]),
-                              phi.lengths.size, lams.size)
+    steps, bound = _stack([phi])(lams)
+    P = su11.batch_product(steps, phi.lengths.size, bound)
+    return su11.Su11Batch(*(x[0] for x in P))
 
 
 def monodromies(potentials: Sequence[PiecewisePotential],
@@ -341,8 +362,8 @@ def monodromies(potentials: Sequence[PiecewisePotential],
         lengths[:p.lengths.size, j] = p.lengths
         values[:p.values.size, j] = p.values
     step = _stepper(lengths, values)
-    return su11.batch_product(lambda lo, hi: step(lam, slice(lo, hi)),
-                              nseg, len(potentials))
+    return su11.batch_product(lambda lo, hi: step(lam, slice(lo, hi)), nseg,
+                              _norm_bound(lengths, values)(lam))
 
 
 def _trace_profile(phi: PiecewisePotential, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -353,12 +374,16 @@ def _trace_profile(phi: PiecewisePotential, lams) -> tuple[np.ndarray, np.ndarra
 def grouped_trace_profile(groups: Sequence[tuple[PiecewisePotential, int]],
                           lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monodromy traces of a concatenation given as (block, repetitions)
-    groups, as (trace, logscale) with true trace = trace * exp(logscale);
-    repeated blocks are raised to matrix powers, so the cost per energy
-    is one period product per distinct block plus log(reps) squarings."""
+    groups, as (trace, logscale) with true trace = trace * exp(logscale).
+
+    One period product per distinct block (su11.grouped_product):
+    distinct blocks of one segment count are stacked as the columns of
+    one batch product, energy block by energy block, and each distinct
+    (block, repetitions) power is computed once (binary powers above 8
+    repetitions)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return su11.batch_trace(su11.batch_concat(
-        (_period_product(block, lams), reps) for block, reps in groups), lams)
+    return su11.batch_trace(su11.grouped_product(
+        groups, lams, lambda phi: phi.lengths.size, _stack), lams)
 
 
 def discriminant_profile(phi: PiecewisePotential, lams) -> np.ndarray:

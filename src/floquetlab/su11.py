@@ -225,8 +225,13 @@ def gordon_lower_bounds(M, v) -> tuple[float, float]:
 
 # Divide a product by |a| once |a| exceeds this.
 RESCALE_AT = 1e150
+# A product whose log-norm bound stays below this never reaches RESCALE_AT.
+LOG_NO_RESCALE = math.log(RESCALE_AT) - 1.0
 # Steps x points of one chunk of a step product: its arrays stay in cache.
 CHUNK = 1 << 13
+# Points per block of a grouped product: the stacked period products and
+# powers of one block stay within a few CHUNK-sized arrays.
+GROUP_POINTS = CHUNK >> 4
 # Saturate reconstructed traces at exp(300) ~ 2e130.
 LOG_SATURATE = 300.0
 # Largest estimated trace error, relative to max(1, |trace|), accepted
@@ -251,49 +256,72 @@ def _rescale(P: Su11Batch) -> None:
         P.logscale[big] += np.log(absa[big])
 
 
-def _mul_unscaled(P: Su11Batch, Q: Su11Batch) -> Su11Batch:
-    return Su11Batch(P.a * Q.a + P.b * Q.b.conj(), P.a * Q.b + P.b * Q.a.conj(),
-                     P.logscale + Q.logscale)
-
-
 def batch_mul(P: Su11Batch, Q: Su11Batch) -> Su11Batch:
     """The products P @ Q, rescaled."""
-    out = _mul_unscaled(P, Q)
+    out = Su11Batch(P.a * Q.a + P.b * Q.b.conj(), P.a * Q.b + P.b * Q.a.conj(),
+                    P.logscale + Q.logscale)
     _rescale(out)
     return out
 
 
-def _pairwise_product(a: np.ndarray, b: np.ndarray) -> Su11Batch:
-    # rows are steps in time order; each level rescales the rows and
-    # multiplies neighbours, an odd last row waits for the next level
-    P = Su11Batch(a, b, np.zeros(a.shape))
-    while P.a.shape[0] > 1:
-        _rescale(P)
-        m = P.a.shape[0] // 2 * 2
-        Q = _mul_unscaled(Su11Batch(*(x[1:m:2] for x in P)),
-                          Su11Batch(*(x[0:m:2] for x in P)))
-        if m < P.a.shape[0]:
-            Q = Su11Batch(*(np.concatenate((x, y[m:])) for x, y in zip(Q, P)))
-        P = Q
-    P = Su11Batch(*(x[0] for x in P))
+def _pairwise_product(a: np.ndarray, b: np.ndarray, rescale: bool) -> Su11Batch:
+    # rows are steps in time order; each level multiplies neighbours, an
+    # odd last row waits for the next level.  With rescale, each level
+    # first rescales its rows and carries their log scales; without, no
+    # partial product can reach RESCALE_AT, so skipping the rescales and
+    # the log scales changes no bit.
+    logscale = np.zeros(a.shape) if rescale else None
+    while a.shape[0] > 1:
+        if rescale:
+            _rescale(Su11Batch(a, b, logscale))
+        m = a.shape[0] // 2 * 2
+        a1, a0, b1, b0 = a[1:m:2], a[0:m:2], b[1:m:2], b[0:m:2]
+        # a' = a1 a0 + b1 conj(b0) and b' = a1 b0 + b1 conj(a0), summed
+        # in place; no product is written over its own input, which
+        # numpy rounds differently for a lone complex number
+        na, nb = a1 * a0, a1 * b0
+        na += b1 * b0.conj()
+        nb += b1 * a0.conj()
+        if m < a.shape[0]:
+            na, nb = np.concatenate((na, a[m:])), np.concatenate((nb, b[m:]))
+        if rescale:
+            logscale = np.concatenate((logscale[1:m:2] + logscale[0:m:2],
+                                       logscale[m:]))
+        a, b = na, nb
+    if not rescale:
+        return Su11Batch(a[0], b[0], np.zeros(a.shape[1:]))
+    P = Su11Batch(a[0], b[0], logscale[0])
     _rescale(P)
     return P
 
 
-def batch_product(steps, nsteps: int, n: int) -> Su11Batch:
-    """Ordered products of nsteps steps at n points, the first step rightmost.
+def batch_product(steps, nsteps: int, bound: np.ndarray) -> Su11Batch:
+    """Ordered products of nsteps steps, the first step rightmost, with
+    the shape of bound: its last axis indexes the n points, any leading
+    axes the columns at each point.
 
-    steps(lo, hi) returns the arrays a and b, shape (nsteps, hi - lo), of
-    the steps at points lo:hi.  The points are taken in chunks of at
-    most CHUNK steps x points (at least one point); a chunk is reduced by
-    products of neighbours, level by level.
+    steps(lo, hi) returns the arrays a and b, shape (nsteps,) +
+    bound.shape[:-1] + (hi - lo,), of the steps at points lo:hi.  bound
+    bounds the log of each product's infinity norm, as the sum over its
+    steps of log(|a| + |b|).  The points are taken in chunks of at most
+    CHUNK steps x columns x points (at least one point); a chunk is
+    reduced by products of neighbours, level by level, rescaled only
+    where its bound reaches LOG_NO_RESCALE: below it no partial product
+    can reach RESCALE_AT, so the result is the same to the bit.  A bound
+    too small for the steps leaves overflowed products, which
+    batch_trace rejects.
     """
-    width = max(1, CHUNK // nsteps)
-    parts = [_pairwise_product(*steps(lo, min(lo + width, n)))
-             for lo in range(0, max(n, 1), width)]
+    n = bound.shape[-1]
+    width = max(1, CHUNK // (nsteps * math.prod(bound.shape[:-1])))
+
+    def chunk(lo, hi):
+        rescale = not np.max(bound[..., lo:hi], initial=-math.inf) < LOG_NO_RESCALE
+        return _pairwise_product(*steps(lo, hi), rescale)
+
+    parts = [chunk(lo, min(lo + width, n)) for lo in range(0, max(n, 1), width)]
     if len(parts) == 1:
         return parts[0]
-    return Su11Batch(*(np.concatenate(x) for x in zip(*parts)))
+    return Su11Batch(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
 
 
 def batch_power(P: Su11Batch, k: int) -> Su11Batch:
@@ -316,14 +344,53 @@ def batch_power(P: Su11Batch, k: int) -> Su11Batch:
     return out
 
 
-def batch_concat(groups: Iterable[tuple[Su11Batch, int]]) -> Su11Batch:
-    """Product of the powers P^k of (P, k) groups, the first group
-    rightmost; groups are consumed one at a time."""
+def batch_concat(batches: Iterable[Su11Batch]) -> Su11Batch:
+    """Product of the batches, the first rightmost; they are consumed
+    one at a time."""
     M = None
-    for P, k in groups:
-        P = batch_power(P, k)
+    for P in batches:
         M = P if M is None else batch_mul(P, M)
     return M
+
+
+def grouped_product(groups, points: np.ndarray, nsteps, stack) -> Su11Batch:
+    """Product of the powers P^reps of the period products P of (block,
+    reps) groups at the points, the first group rightmost, with one
+    period product per distinct block.
+
+    Distinct blocks (by content) with equal nsteps(block) are the
+    columns of one batch_product: stack(blocks) returns at(points) ->
+    (steps, bound), its arguments with one column per block.  The points
+    are taken in blocks of GROUP_POINTS; in each, every distinct (block,
+    reps) power is computed once, and the powers are multiplied in group
+    order.
+    """
+    by_size: dict[int, list] = {}
+    for block in dict.fromkeys(block for block, _ in groups):
+        by_size.setdefault(nsteps(block), []).append(block)
+    stacks = [(blocks, stack(blocks), size) for size, blocks in by_size.items()]
+    n = points.size
+    out = Su11Batch(np.empty(n, dtype=complex), np.empty(n, dtype=complex),
+                    np.empty(n))
+    for lo in range(0, max(n, 1), GROUP_POINTS):
+        M = _grouped_block(groups, stacks, points[lo:lo + GROUP_POINTS])
+        for x, y in zip(out, M):
+            x[lo:lo + GROUP_POINTS] = y
+    return out
+
+
+def _grouped_block(groups, stacks, points: np.ndarray) -> Su11Batch:
+    # the grouped product at one block of points, in a function of its
+    # own so that its products are freed before the next block's
+    period = {}
+    for blocks, at, size in stacks:
+        steps, bound = at(points)
+        P = batch_product(steps, size, bound)
+        period.update((block, Su11Batch(*(x[k] for x in P)))
+                      for k, block in enumerate(blocks))
+    powers = {key: batch_power(period[key[0]], key[1])
+              for key in dict.fromkeys(groups)}
+    return batch_concat(powers[key] for key in groups)
 
 
 def _trace_defect(P: Su11Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,16 +114,117 @@ def test_long_blocks_over_several_chunks():
     assert_traces_match(D[::23], [(alpha, 1)], cmv.cmv_monodromy, thetas[::23])
 
 
-def test_long_block_rescales_partial_products():
+def long_block():
     # |a| grows like exp(960) over the period at lambda = 0: unscaled
     # partial products of the pairwise reduction would overflow
     values = [2.0 * cmath.exp(0.4j * k) for k in range(160)]
-    phi = dirac.PiecewisePotential.from_values([3.0] * 160, values)
+    return dirac.PiecewisePotential.from_values([3.0] * 160, values)
+
+
+def test_long_block_rescales_partial_products():
+    phi = long_block()
     lams = np.array([0.0, 0.7, 1.9])
+    _, bound = dirac._stack([phi])(lams)
+    assert np.all(bound >= su11.LOG_NO_RESCALE)     # the rescaling path
     trace, logscale = dirac._trace_profile(phi, lams)
     assert logscale[0] > 710.0
     for lam, value in zip(lams, dirac.lyapunov_profile(phi, lams)):
         assert abs(value - dirac.lyapunov(phi, lam)) <= 1e-9 * max(1.0, value)
+
+
+def test_too_small_bound_raises_not_numbers():
+    phi = long_block()
+    lams = np.array([0.0, 0.7, 1.9])
+    steps, bound = dirac._stack([phi])(lams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = su11.batch_product(steps, 160, np.zeros_like(bound))
+        with pytest.raises(NonRealTrace):
+            su11.batch_trace(su11.Su11Batch(*(x[0] for x in P)), lams)
+
+
+def random_block(family, rng, nsteps):
+    """A random Dirac block of nsteps segments or cycle of nsteps
+    coefficients."""
+    if family == "dirac":
+        return dirac.PiecewisePotential.from_values(
+            rng.uniform(0.05, 0.3, nsteps),
+            [0.8 * cmath.exp(2j * math.pi * rng.uniform()) for _ in range(nsteps)])
+    return random_cycle(rng, nsteps, sup=0.9)
+
+
+def random_points(family, rng, n):
+    """(points, labels): n random energies, or the half angles and the
+    angles of n random angles."""
+    if family == "dirac":
+        lams = np.sort(rng.uniform(-3.0, 3.0, n))
+        return lams, lams
+    thetas, half = cmv._angles(rng.uniform(0.0, TWO_PI, n))
+    return half, thetas
+
+
+@pytest.mark.parametrize("family", ["dirac", "cmv"])
+def test_rescale_free_reduction_is_bitwise(family):
+    # under the bound, skipping the rescales changes no bit: the same
+    # steps reduced with an infinite bound take the rescaling path
+    rng = np.random.default_rng(17)
+    stack = dirac._stack if family == "dirac" else cmv._stack
+    for nsteps, ncols in ((1, 1), (24, 3), (41, 5), (200, 2)):
+        at = stack([random_block(family, rng, nsteps) for _ in range(ncols)])
+        steps, bound = at(random_points(family, rng, 700)[0])
+        assert np.max(bound) < su11.LOG_NO_RESCALE
+        P = su11.batch_product(steps, nsteps, bound)
+        Q = su11.batch_product(steps, nsteps, np.full(bound.shape, np.inf))
+        for x, y in zip(P, Q):
+            assert np.array_equal(x, y)
+
+
+def per_block_reference(product, groups, points):
+    """The grouped product as a sequential batch_concat of single-block
+    products raised to their powers."""
+    return su11.batch_concat(su11.batch_power(product(block, points), reps)
+                             for block, reps in groups)
+
+
+@pytest.mark.parametrize("family", ["dirac", "cmv"])
+def test_grouped_profile_matches_per_block_reference(family):
+    rng = np.random.default_rng(23)
+    grouped, product = {
+        "dirac": (dirac.grouped_trace_profile, dirac._period_product),
+        "cmv": (cmv.grouped_cmv_trace_profile, cmv._szego_product)}[family]
+    # 1500 points fill several point blocks, each over several chunks
+    assert 1500 > 2 * su11.GROUP_POINTS
+    for _ in range(3):
+        # three blocks stacked in one product, one of another step count
+        blocks = [random_block(family, rng, nsteps) for nsteps in (3, 3, 3, 5)]
+        # repeated blocks, reps 1, 5 and binary powers
+        groups = [(blocks[k], int(rng.choice([1, 5, 9, 13])))
+                  for k in (0, 1, 0, 2, 3, 1, 0, 3, 2)]
+        # one point, as in the merge check of the band scan, many times:
+        # a rounding that differs for a lone number shows only now and then
+        for n in (1,) * 20 + (2, 6, 700, 1500):
+            points, labels = random_points(family, rng, n)
+            got = grouped(groups, labels)
+            want = su11.batch_trace(per_block_reference(product, groups, points),
+                                    labels)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def test_grouped_call_transient_memory():
+    # the band scan's grid call: 16 distinct blocks of 24 segments at
+    # 5 580 energies stay within 2 MB of traced allocations
+    rng = np.random.default_rng(29)
+    groups = [(dirac.PiecewisePotential.from_values(
+        np.ones(24), 0.3 * np.exp(2j * math.pi * rng.uniform(size=24))), 5)
+        for _ in range(16)]
+    lams = np.linspace(-0.5, 0.5, 5580)
+    tracemalloc.start()
+    try:
+        dirac.grouped_trace_profile(groups, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_wrong_dirac_step_raises(monkeypatch):
@@ -143,9 +245,10 @@ def test_wrong_szego_step_raises(monkeypatch):
         # 1 / (1 - |alpha|^2) where 1 / rho belongs
         values = np.array(alpha.values)[:, None]
         r = 1.0 / (1.0 - np.abs(values) ** 2)
+        # the bound of the right step, as the real code passes it
         return su11.batch_product(
             lambda lo, hi: (r * half[lo:hi], -r * values.conj() * half[lo:hi].conj()),
-            alpha.q, half.size)
+            alpha.q, np.broadcast_to(cmv._norm_bound(values), half.shape))
 
     monkeypatch.setattr(cmv, "_szego_product", unnormalised)
     with pytest.raises(NonRealTrace):
