@@ -9,10 +9,9 @@ from .cmv import (ArcSet, VerblunskyCycle, cmv_bands, cmv_discriminant,
                   cmv_lyapunov, cmv_monodromy, extended_cmv_truncation,
                   poincare_delta, szego_matrix)
 from .construct import (ConstructionReport, GapCertificate, GapSearchBudget,
-                        cmv_open_gap, cmv_resolvent_cover, cmv_thin_spectrum,
-                        cover_kappa, fit_decay_rate, open_gap,
-                        resolvent_cover, thin_spectrum,
-                        verify_gap_certificate)
+                        cmv_open_gap, cmv_resolvent_cover, cover_kappa,
+                        fit_decay_rate, open_gap, resolvent_cover,
+                        thin_series, thin_spectrum, verify_gap_certificate)
 from .dirac import (BandSet, PiecewisePotential, bands, discriminant,
                     dos_band_weight, dos_density, floquet_exponent, lyapunov,
                     monodromy, step_matrix, transfer)

@@ -157,8 +157,9 @@ def gordon_defect(data, q, C: float) -> float:
     """C^q times the worst mismatch between data and its two q-translates.
 
     Exact for piecewise-constant potentials (sup over overlap
-    breakpoints) and for Verblunsky cycles (sup over indices); zero for
-    exactly q-periodic data, for every C.
+    breakpoints; breakpoints that agree to rounding are one, as in
+    dirac.cell_midpoints) and for Verblunsky cycles (sup over indices);
+    zero for exactly q-periodic data, for every C.
     """
     if isinstance(data, cmv.VerblunskyCycle):
         qi = int(q)
@@ -173,7 +174,7 @@ def gordon_defect(data, q, C: float) -> float:
 
     phi: dirac.PiecewisePotential = data
     q = float(q)
-    cuts = {0.0, q}
+    cuts = {0.0}
     T = phi.period
     base = phi.boundaries[:-1]
     # breakpoints of phi(x), phi(x-q), phi(x+q) inside [0, q)
@@ -185,10 +186,8 @@ def gordon_defect(data, q, C: float) -> float:
                 x = b + k * T - shift
                 if 0.0 < x < q:
                     cuts.add(x)
-    xs = sorted(cuts)
     sup = 0.0
-    for a, b in zip(xs[:-1], xs[1:]):
-        mid = 0.5 * (a + b)
+    for mid in dirac.cell_midpoints(list(cuts), q).tolist():
         v = phi.value_at(mid)
         sup = max(sup, abs(phi.value_at(mid - q) - v),
                   abs(phi.value_at(mid + q) - v))

@@ -248,21 +248,15 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
     summary_rows = []
     reports = []
     partial_error: Optional[SearchFailure] = None
-    period = construct.FAMILIES[kind].period
 
     try:
         data = _data_from(cfg, kind)
         R = _number(cfg.get("window", 2.0), "window")
-        cover = construct.resolvent_cover(data, R, eps, seed)
-        m, ratio = len(cover), int(round(period(cover[0]) / period(data)))
-        n0 = construct.feasibility_threshold(m, ratio)
-        if not n_values:
-            n_values = [n0, n0 + m * ratio, n0 + 2 * m * ratio]
-        for N in n_values:
-            _, report = construct.thin_spectrum(
-                data, R, eps, N, seed, tol=tol, cover=cover)
+        for report in construct.thin_series(data, R, eps, seed, n_values,
+                                            tol=tol):
             reports.append(report)
-            summary_rows.append([N, report.final_period, report.measure,
+            summary_rows.append([report.n_value, report.final_period,
+                                 report.measure,
                                  math.log(max(report.measure, 1e-300))])
     except SearchFailure as exc:
         partial_error = exc

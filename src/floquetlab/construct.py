@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -706,31 +706,26 @@ def feasibility_threshold(m: int, block_ratio: int) -> int:
     return 4 * m * block_ratio
 
 
-def thin_spectrum(data: Data, R: Optional[float], eps: float, N: int,
-                  seed: int, tol: float = 1e-8,
-                  cover: Optional[Sequence[Data]] = None,
-                  ) -> tuple[Data, ConstructionReport]:
-    """Build period-NT data within eps of the data whose spectrum in
-    [-R, R] (Dirac) or on the circle (CMV; R is ignored) is thin.
+def thin_series(data: Data, R: Optional[float], eps: float, seed: int,
+                n_values: Sequence[int] = (), tol: float = 1e-8,
+                cover: Optional[Sequence[Data]] = None,
+                ) -> Iterator[ConstructionReport]:
+    """Reports of thin period-NT data within eps of the data, one per N
+    in order, all from one cover; the spectrum is taken in [-R, R]
+    (Dirac) or on the circle (CMV; R is ignored).
 
-    The construction concatenates N_hat + 1 copies of each cover member
-    at positions s_j = j (N_hat + 1) T' and fills the remainder with
-    copies of the data, exactly as blocks of entries; N_hat is maximal
-    with m (N_hat + 1) T' <= N T.
+    The construction concatenates N_hat + 1 copies of each of the m
+    cover members at positions s_j = j (N_hat + 1) T' and fills the
+    remainder with copies of the data, exactly as blocks of entries;
+    N_hat is maximal with m (N_hat + 1) T' <= N T.  The cover (searched
+    when none is given), kappa, c1 and the distance belong to the cover
+    and are computed once.  The distance is the largest member distance:
+    every member block starts at a multiple of T', and the remainder
+    copies the data.  Without n_values the series is N0, N0 + m r and
+    N0 + 2 m r, with r = T'/T and N0 = feasibility_threshold(m, r).
+    Reports are yielded as they are made, so those before an N that
+    fails (NTooSmall below N0) reach the caller.
     """
-    return _thin(data, R, eps, N, seed, tol, cover)
-
-
-def cmv_thin_spectrum(alpha: cmv.VerblunskyCycle, eps: float, N: int,
-                      seed: int, tol: float = 1e-8,
-                      cover: Optional[Sequence[cmv.VerblunskyCycle]] = None,
-                      ) -> tuple[cmv.VerblunskyCycle, ConstructionReport]:
-    """Period-Nq Verblunsky data within eps of alpha (Poincare metric)
-    whose spectrum has small angular measure."""
-    return _thin(alpha, None, eps, N, seed, tol, cover)
-
-
-def _thin(data, R, eps, N, seed, tol, cover):
     fam = _family(data)
     members = list(cover) if cover is not None else resolvent_cover(
         data, R, eps, seed)
@@ -742,30 +737,53 @@ def _thin(data, R, eps, N, seed, tol, cover):
     m = len(members)
     ratio = int(round(Tp / T))
     n0 = feasibility_threshold(m, ratio)
-    if N < n0:
-        raise NTooSmall(f"N={N} below feasibility threshold N0={n0} "
-                        f"(m={m}, {fam.period_symbol}'={Tp})")
-    n_hat = N // (m * ratio) - 1
+    kappa = cover_kappa(members, R)
+    # the distinct members end to end: one distance call, the largest
+    # member distance
+    distance = _distance(data, fam.concat(dict.fromkeys(members)))
+    for N in n_values or (n0, n0 + m * ratio, n0 + 2 * m * ratio):
+        if N < n0:
+            raise NTooSmall(f"N={N} below feasibility threshold N0={n0} "
+                            f"(m={m}, {fam.period_symbol}'={Tp})")
+        n_hat, groups = _layout(data, members, ratio, N)
+        period = sum(fam.period(block) * reps for block, reps in groups)
+        if abs(period - N * T) > 1e-9 * max(1.0, N * T):
+            raise NumericalAssertionError(
+                f"laid-out period {period} is not "
+                f"N {fam.period_symbol} = {N * T}")
+        spectrum = fam.bands_of_groups(groups, R, tol)
+        schedule = tuple(float(j * (n_hat + 1) * Tp) for j in range(1, m + 1))
+        yield ConstructionReport(
+            kind=fam.kind, cover=tuple(members), kappa=kappa, n_value=N,
+            n_hat=n_hat, block_period=float(Tp), schedule=schedule,
+            final_period=float(N * T), spectrum=spectrum,
+            measure=spectrum.measure, c1=kappa / (2.0 * m), epsilon=eps,
+            distance=distance, seed=seed)
+
+
+def _layout(data: Data, members: Sequence[Data], ratio: int,
+            N: int) -> tuple[int, list[tuple[Data, int]]]:
+    """(N_hat, groups): the (block, reps) groups of the period-NT data,
+    each member N_hat + 1 times, then the data for the rest; ratio is
+    the member period in data periods."""
+    n_hat = N // (len(members) * ratio) - 1
     groups = [(mem, n_hat + 1) for mem in members]
-    remainder = N - m * (n_hat + 1) * ratio
+    remainder = N - len(members) * (n_hat + 1) * ratio
     if remainder > 0:
         groups.append((data, remainder))
-    result = fam.concat(block.repeated(reps) for block, reps in groups)
-    if abs(fam.period(result) - N * T) > 1e-9 * max(1.0, N * T):
-        raise NumericalAssertionError(
-            f"assembled period {fam.period(result)} is not "
-            f"N {fam.period_symbol} = {N * T}")
-    distance = _distance(data, result)
-    spectrum = fam.bands_of_groups(groups, R, tol)
-    kappa = cover_kappa(members, R)
-    schedule = tuple(float(j * (n_hat + 1) * Tp) for j in range(1, m + 1))
-    report = ConstructionReport(
-        kind=fam.kind, cover=tuple(members), kappa=kappa, n_value=N,
-        n_hat=n_hat, block_period=float(Tp), schedule=schedule,
-        final_period=float(N * T), spectrum=spectrum,
-        measure=spectrum.measure, c1=kappa / (2.0 * m), epsilon=eps,
-        distance=distance, seed=seed)
-    return result, report
+    return n_hat, groups
+
+
+def thin_spectrum(data: Data, R: Optional[float], eps: float, N: int,
+                  seed: int, tol: float = 1e-8,
+                  cover: Optional[Sequence[Data]] = None,
+                  ) -> tuple[Data, ConstructionReport]:
+    """The one-N call of thin_series, with the assembled period-NT data."""
+    report = next(thin_series(data, R, eps, seed, (N,), tol, cover))
+    fam = _family(data)
+    ratio = int(round(report.block_period / fam.period(data)))
+    _, groups = _layout(data, report.cover, ratio, N)
+    return fam.concat(block.repeated(reps) for block, reps in groups), report
 
 
 def fit_decay_rate(final_periods: Sequence[float],

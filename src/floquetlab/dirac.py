@@ -27,6 +27,9 @@ from .errors import NotElliptic, NotInBandInterior
 DOS_EDGE_MARGIN = 1e-6
 # Gauss-Legendre nodes per segment of the density-of-states period average.
 DOS_NODES_PER_SEGMENT = 24
+# Segment boundaries closer than this fraction of the span are one
+# boundary (sup_distance, analysis.gordon_defect).
+SAME_CUT = 1e-12
 
 
 class PiecewisePotential:
@@ -181,10 +184,28 @@ def concatenate(potentials: Iterable[PiecewisePotential]) -> PiecewisePotential:
                                   np.concatenate([p.values for p in blocks]))
 
 
+def cell_midpoints(cuts, span: float) -> np.ndarray:
+    """Midpoints of the cells into which the cuts, all in [0, span),
+    divide [0, span].
+
+    Cuts that agree to SAME_CUT times the span count as one cut: a cut
+    placed at k T + b and the cumulative sum of the same segments differ
+    by rounding, and the midpoint of the sliver between them would look
+    up neighbouring segments.  Assumes no segment is shorter than
+    SAME_CUT times the span.
+    """
+    cuts = np.sort(np.append(cuts, span))
+    cuts = cuts[np.append(True, np.diff(cuts) > SAME_CUT * span)]
+    return (cuts[:-1] + cuts[1:]) / 2.0
+
+
 def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
     """Exact sup-norm distance between two periodic piecewise potentials.
 
     Requires commensurate periods (one an integer multiple of the other).
+    Segment boundaries that agree to rounding are one boundary
+    (cell_midpoints), so equal operators are at distance 0 however each
+    is repeated.
     """
     span = max(p1.period, p2.period)
     ratio1, ratio2 = span / p1.period, span / p2.period
@@ -192,10 +213,9 @@ def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
         raise ValueError("periods are not commensurate")
     pieces = [(p, _boundaries(p.lengths), int(round(ratio)))
               for p, ratio in ((p1, ratio1), (p2, ratio2))]
-    cuts = np.array(sorted(set(np.concatenate([
+    mids = cell_midpoints(np.concatenate([
         (np.arange(rep)[:, None] * p.period + bounds[:-1]).ravel()
-        for p, bounds, rep in pieces]).tolist())) + [span])
-    mids = (cuts[:-1] + cuts[1:]) / 2.0
+        for p, bounds, rep in pieces]), span)
     values = []
     for p, bounds, _ in pieces:
         # the segment of each midpoint, as value_at finds it

@@ -159,6 +159,18 @@ def test_gordon_defect_exact_period():
         assert analysis.gordon_defect(phi.repeated(3), 1.0, C) == 0.0
 
 
+@pytest.mark.parametrize("lengths, values", [([0.1, 0.2], [0.0, 1.0]),
+                                             ([0.5, 0.3, 0.1],
+                                              [0.5, -0.2, 0.1j])])
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+@pytest.mark.parametrize("C", [1.0, 2.0])
+def test_gordon_defect_zero_at_period_multiples(lengths, values, k, C):
+    # k T rounds differently from the breakpoints it shifts; cuts that
+    # agree to rounding are one cut, so no sliver reads a neighbour
+    phi = dirac.PiecewisePotential.from_values(lengths, values)
+    assert analysis.gordon_defect(phi, k * phi.period, C) == 0.0
+
+
 def test_gordon_defect_single_changed_segment():
     base = dirac.PiecewisePotential.from_values([0.5, 0.5], [0.1, 0.2])
     changed = base.with_value(1, 0.2 + 0.03)

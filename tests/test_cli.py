@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from floquetlab import cli
+from floquetlab import cli, construct
 
 FREE_CFG = {"kind": "dirac", "potential": [[1.0, 0.0, 0.0]],
             "window": 3.0, "tol": 1e-8}
@@ -121,15 +121,21 @@ def test_dos_command(tmp_path):
         assert abs(w - 1.0) < 0.01
 
 
-def test_thin_command_stub_cover(tmp_path):
+def test_thin_command_stub_cover(tmp_path, monkeypatch):
     # window inside the constant-data gap: the cover is the seed itself,
     # keeping this CLI exercise fast
+    kappa_calls = []
+    kappa = construct.cover_kappa
+    monkeypatch.setattr(construct, "cover_kappa",
+                        lambda *a, **k: kappa_calls.append(a) or kappa(*a, **k))
     cfg = {"kind": "dirac", "potential": [[1.0, 1.0, 0.0]],
            "window": 0.5, "tol": 1e-8, "seed": 3,
            "construction": {"epsilon": 0.2, "n_values": [4, 5, 6]}}
     rc = cli.main(["thin", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
     assert rc == 0
+    # kappa belongs to the cover: one call for the three N
+    assert len(kappa_calls) == 1
     summary = (tmp_path / "out" / "thin_summary.csv").read_text().splitlines()
     assert summary[0] == "N,final_period,measure,log_measure"
     assert len(summary) == 4
@@ -146,6 +152,18 @@ def test_thin_command_infeasible_N(tmp_path):
     assert rc == 4
     # the partial summary is preserved
     assert (tmp_path / "out" / "thin_summary.csv").exists()
+    # a feasible N, then an infeasible one: the first report is kept and
+    # the series stops at the failure
+    cfg["construction"]["n_values"] = [4, 2, 6]
+    out = tmp_path / "partial"
+    rc = cli.main(["thin", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 4
+    assert (out / "thin_N4.json").exists()
+    assert not (out / "thin_N6.json").exists()
+    summary = json.loads((out / "thin_summary.json").read_text())
+    assert [row["N"] for row in summary["rows"]] == [4]
+    assert "N=2 below feasibility threshold" in summary["error"]
 
 
 def test_dimension_command(tmp_path):

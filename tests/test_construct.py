@@ -178,6 +178,38 @@ def test_thin_spectrum_free_seed_small_window():
         assert abs(s - j * step) < 1e-9
 
 
+def test_thin_series_equals_per_n_calls(monkeypatch):
+    # cover-level work (kappa, distance) is done once per series; each
+    # report matches the one-N call on the same cover
+    kappa_calls = []
+    kappa = construct.cover_kappa
+
+    def counted(*args, **kwargs):
+        kappa_calls.append(args)
+        return kappa(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "cover_kappa", counted)
+    alpha = cmv.VerblunskyCycle((0j,))
+    cases = [(FREE, 0.1, 0.3, 1, construct.resolvent_cover(FREE, 0.1, 0.3, 1)),
+             (alpha, None, 2.5, 2, construct.cmv_resolvent_cover(alpha, 2.5, 2))]
+    for data, R, eps, seed, cover in cases:
+        kappa_calls.clear()
+        series = [r.to_json_dict() for r in construct.thin_series(
+            data, R, eps, seed, cover=cover)]
+        assert len(kappa_calls) == 1
+        period = construct._family(data).period
+        m, ratio = len(cover), round(period(cover[0]) / period(data))
+        n0 = construct.feasibility_threshold(m, ratio)
+        assert [doc["N"] for doc in series] == [n0, n0 + m * ratio,
+                                                n0 + 2 * m * ratio]
+        for doc in series:
+            assembled, report = construct.thin_spectrum(
+                data, R, eps, doc["N"], seed, cover=cover)
+            assert report.to_json_dict() == doc
+            # the largest member distance is the assembled data's
+            assert doc["distance"] == construct._distance(data, assembled)
+
+
 def test_fit_decay_rate_two_points():
     slope = construct.fit_decay_rate([10.0, 20.0], [1.0, math.exp(-1.0)])
     assert abs(slope + 0.1) < 1e-12
@@ -187,8 +219,8 @@ def test_cmv_thin_spectrum_layout():
     alpha = cmv.VerblunskyCycle.constant(0.5, 1)
     member = cmv.VerblunskyCycle.from_values([0.52])
     N = 9
-    tilde, report = construct.cmv_thin_spectrum(alpha, 0.3, N, seed=1,
-                                                cover=[member])
+    tilde, report = construct.thin_spectrum(alpha, None, 0.3, N, seed=1,
+                                            cover=[member])
     assert tilde.q == N
     n_hat = report.n_hat
     assert tilde.values[: n_hat + 1] == member.values * (n_hat + 1)

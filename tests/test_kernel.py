@@ -263,7 +263,8 @@ def test_cmv_thin_run_completes_on_former_nonreal_seed():
     alpha = cmv.VerblunskyCycle((0j,))
     members = construct.cmv_resolvent_cover(alpha, 1.0, seed)
     cover = [members[i % len(members)] for i in range(max(8, len(members)))]
-    _, report = construct.cmv_thin_spectrum(alpha, 1.0, 768, seed, cover=cover)
+    _, report = construct.thin_spectrum(alpha, None, 1.0, 768, seed,
+                                        cover=cover)
     assert report.spectrum.count >= 1
     groups = [(mem, report.n_hat + 1) for mem in cover]
     remainder = 768 - len(cover) * (report.n_hat + 1) * cover[0].q
