@@ -174,24 +174,20 @@ def gordon_defect(data, q, C: float) -> float:
 
     phi: dirac.PiecewisePotential = data
     q = float(q)
-    cuts = {0.0}
     T = phi.period
-    base = phi.boundaries[:-1]
-    # breakpoints of phi(x), phi(x-q), phi(x+q) inside [0, q)
+    bounds = phi.boundaries
+    # breakpoints b + k T - shift of phi(x), phi(x-q), phi(x+q) in [0, q)
+    cuts = [np.zeros(1)]
     for shift in (0.0, q, -q):
-        k0 = math.floor(shift / T) - 1
-        k1 = math.ceil((shift + q) / T) + 1
-        for k in range(k0, k1 + 1):
-            for b in base:
-                x = b + k * T - shift
-                if 0.0 < x < q:
-                    cuts.add(x)
-    sup = 0.0
-    for mid in dirac.cell_midpoints(list(cuts), q).tolist():
-        v = phi.value_at(mid)
-        sup = max(sup, abs(phi.value_at(mid - q) - v),
-                  abs(phi.value_at(mid + q) - v))
-    return _scaled_defect(C, q, sup)
+        ks = np.arange(math.floor(shift / T) - 1, math.ceil((shift + q) / T) + 2)
+        x = (bounds[:-1] + (ks * T)[:, None] - shift).ravel()
+        cuts.append(x[(0.0 < x) & (x < q)])
+    mids = dirac.cell_midpoints(np.concatenate(cuts), q)
+    v = dirac.values_at(phi, bounds, mids)
+    diffs = np.concatenate((dirac.values_at(phi, bounds, mids - q) - v,
+                            dirac.values_at(phi, bounds, mids + q) - v))
+    # Python abs: numpy's complex modulus can differ in the last bit
+    return _scaled_defect(C, q, max(map(abs, diffs.tolist()), default=0.0))
 
 
 def _scaled_defect(C: float, q: float, sup: float) -> float:

@@ -56,9 +56,14 @@ def _number(value, name: str, convert=float):
 
 def _positive(value, name: str) -> float:
     number = _number(value, name)
-    if not number > 0:
-        raise ConfigError(f"{name} must be positive")
+    if not 0 < number < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     return number
+
+
+def _window(section: dict, default: float) -> float:
+    """The half-width of the energy window of a config section."""
+    return _positive(section.get("window", default), "window")
 
 
 def _numbers(section: dict, name: str, convert=float) -> list:
@@ -140,7 +145,7 @@ def cmd_bands(cfg: dict, args) -> int:
     out = _out_dir(args)
     fam = construct.FAMILIES[kind]
     spectrum = fam.bands(
-        _data_from(cfg, kind), _number(cfg.get("window", 3.0), "window"), tol,
+        _data_from(cfg, kind), _window(cfg, 3.0), tol,
         _number(cfg.get("oversample", 1.0), "oversample"))
     intervals = spectrum.intervals
     rows = [[i, a, b, b - a] for i, (a, b) in enumerate(intervals)]
@@ -161,7 +166,7 @@ def cmd_dos(cfg: dict, args) -> int:
     phi = _data_from(cfg, "dirac")
     tol = _tol(cfg)
     out = _out_dir(args)
-    R = _number(cfg.get("window", 3.0), "window")
+    R = _window(cfg, 3.0)
     nodes = _number(_section(cfg, "dos").get("nodes", 48), "nodes", int)
     bandset = dirac.bands(phi, R, tol)
     rows = []
@@ -189,9 +194,11 @@ def cmd_lyapunov(cfg: dict, args) -> int:
     kind = _kind(cfg)
     out = _out_dir(args)
     n = _number(cfg.get("grid_points", 512), "grid_points", int)
+    if n < 1:
+        raise ConfigError(f"grid_points must be at least 1, got {n}")
     fam = construct.FAMILIES[kind]
     data = _data_from(cfg, kind)
-    grid = fam.grid(_number(cfg.get("window", 3.0), "window"), n)
+    grid = fam.grid(_window(cfg, 3.0), n)
     rows = [[float(x), float(v)] for x, v in zip(grid, fam.lyapunov(data, grid))]
     _write_text(out / "lyapunov.csv",
                 _csv_text(["point", "lyapunov"], rows), "csv", args.format)
@@ -251,7 +258,7 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
 
     try:
         data = _data_from(cfg, kind)
-        R = _number(cfg.get("window", 2.0), "window")
+        R = _window(cfg, 2.0)
         for report in construct.thin_series(data, R, eps, seed, n_values,
                                             tol=tol):
             reports.append(report)
@@ -316,7 +323,9 @@ def cmd_dimension(cfg: dict, args) -> int:
     phi = _data_from(cfg, "dirac")
     eps = _positive(dcfg.get("epsilon", 0.4), "epsilon")
     n_stages = _number(dcfg.get("n_stages", 2), "n_stages", int)
-    window = _number(dcfg.get("window", 0.5), "window")
+    if n_stages < 0:
+        raise ConfigError(f"n_stages must be at least 0, got {n_stages}")
+    window = _window(dcfg, 0.5)
     scales = _numbers(dcfg, "scales") or [2.0 ** -k for k in range(3, 11)]
     schedule = analysis.build_schedule(phi, eps, n_stages, seed,
                                        window=window, tol=tol)
@@ -348,7 +357,10 @@ def cmd_gordon(cfg: dict, args) -> int:
         raise ConfigError("gordon config needs 'q'")
     C = _number(gcfg.get("c", 2.0), "c")
     # q is checked as a number but written as given (1 stays 1)
-    value = analysis.gordon_defect(_data_from(cfg, kind), _number(q, "q"), C)
+    shift = _positive(q, "q")
+    if kind == "cmv" and not shift.is_integer():
+        raise ConfigError(f"q must be a whole number for CMV data, got {q!r}")
+    value = analysis.gordon_defect(_data_from(cfg, kind), shift, C)
     doc = {"kind": kind, "q": q, "c": C, "defect": value}
     _write_text(out / "gordon.json", _json_text(doc), "json", args.format)
     _write_text(out / "gordon.csv",

@@ -128,7 +128,7 @@ class Family:
     concat: Callable
     distance: Callable                       # between equal-length data
     grid: Callable                           # (R, n) -> cover grid
-    cell_ends: Callable                      # cover grid -> its cell ends
+    closed: Callable                         # cover grid -> with its last end
     bands: Callable                          # (data, R, tol, oversample)
     bands_of_groups: Callable                # (groups, R, tol)
 
@@ -242,7 +242,7 @@ DIRAC = Family(
     concat=dirac.concatenate,
     distance=dirac.sup_distance,
     grid=lambda R, n: np.linspace(-R, R, n),
-    cell_ends=lambda points: points,
+    closed=lambda points: points,
     bands=lambda phi, R, tol, over: dirac.bands(phi, R, tol, oversample=over),
     bands_of_groups=lambda g, R, tol: dirac.bands_of_groups(g, R, tol),
 )
@@ -269,8 +269,8 @@ CMV = Family(
     concat=cmv.concatenate_cycles,
     distance=cmv.poincare_delta,
     grid=lambda R, n: np.linspace(0.0, TWO_PI, n, endpoint=False),
-    # the last cell closes the circle at 2 pi, the first point again
-    cell_ends=lambda points: np.append(points, TWO_PI),
+    # 2 pi closes the circle: the first point again, as an angle
+    closed=lambda points: np.append(points, TWO_PI),
     bands=lambda alpha, R, tol, over: cmv.cmv_bands(alpha, tol),
     bands_of_groups=lambda g, R, tol: cmv.cmv_bands_of_groups(g, tol),
 )
@@ -518,37 +518,36 @@ def _cover(data, R, eps, seed):
     lifts = {lift: data.repeated(lift) for lift, _, _ in ATTEMPT_LADDER}
 
     rng = np.random.default_rng(seed)
-    points = fam.grid(R, COVER_GRID_POINTS)
-    ends, pair = _cells(fam, points)
+    # cell i runs from points[i] to points[i + 1]
+    points = fam.closed(fam.grid(R, COVER_GRID_POINTS))
 
     raw_members: list[Data] = []
     # Lyapunov rows are >= 0, so the -1 fill marks points no member covers
     best = np.full(points.size, -1.0)
-    # cells known to hold no hole: cell i runs from point i to ends[i + 1]
-    settled = np.zeros(pair.size, dtype=bool)
+    # cells known to hold no hole
+    settled = np.zeros(points.size - 1, dtype=bool)
     common = 1
 
     base_row = fam.lyapunov(data, points)
     if base_row.max() > KAPPA_THRESHOLD:
         raw_members.append(data)
         best = np.maximum(best, base_row)
-        settled = (base_row[:pair.size] > 0.0) & (base_row[pair] > 0.0)
+        settled = (base_row[:-1] > 0.0) & (base_row[1:] > 0.0)
 
     while True:
         worst = int(np.argmin(best))
         if best[worst] > KAPPA_THRESHOLD:
             # every point is covered; a hole between points becomes a
             # new point, uncovered, and splits its cell
-            holes = _holes(fam, raw_members, ends, np.flatnonzero(~settled))
+            holes = _holes(fam, raw_members, points, np.flatnonzero(~settled))
             if not holes:
                 break
             at = np.searchsorted(points, holes)
             points = np.insert(points, at, holes)
             best = np.insert(best, at, -1.0)
-            ends, pair = _cells(fam, points)
             new = np.insert(np.zeros(points.size - at.size, dtype=bool), at,
                             True)
-            settled = ~(new[:pair.size] | new[pair])
+            settled = ~(new[:-1] | new[1:])
             continue
         if len(raw_members) >= MAX_MEMBERS:
             raise BudgetExhausted(
@@ -584,14 +583,14 @@ def _cover(data, R, eps, seed):
         # that was open when it came, and settles the cells it covers.
         open_ = best <= KAPPA_THRESHOLD
         asked = open_.copy()
-        asked[:pair.size] |= open_[pair]
-        asked[pair] |= open_[:pair.size]
+        asked[:-1] |= open_[1:]
+        asked[1:] |= open_[:-1]
         at = np.flatnonzero(asked)
         row = fam.lyapunov(member, points[at])
         best[at] = np.maximum(best[at], row)
         gapped = np.zeros(points.size, dtype=bool)
         gapped[at] = row > 0.0
-        settled |= gapped[:pair.size] & gapped[pair]
+        settled |= gapped[:-1] & gapped[1:]
 
     members = []
     for member in raw_members:
@@ -600,17 +599,11 @@ def _cover(data, R, eps, seed):
     return members
 
 
-def _cells(fam: Family, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ends, pair): cell i runs from points[i] to ends[i + 1], which is
-    points[pair[i]] (on the circle, the last cell closes at 2 pi)."""
-    ends = fam.cell_ends(points)
-    return ends, np.arange(1, ends.size) % points.size
-
-
-def _holes(fam: Family, members: list, ends: np.ndarray,
+def _holes(fam: Family, members: list, points: np.ndarray,
            cells: np.ndarray) -> list[float]:
-    """Midpoints of the holes of a cover in the cells [ends[i], ends[i+1]]
-    listed: nonempty sets where every member is in its spectrum.
+    """Midpoints of the holes of a cover in the cells
+    [points[i], points[i+1]] listed: nonempty sets where every member is
+    in its spectrum.
 
     A member with a positive Lyapunov exponent at both ends of a cell
     covers the cell, assuming no band of a member is narrower than a
@@ -623,7 +616,7 @@ def _holes(fam: Family, members: list, ends: np.ndarray,
         return []
     where, back = np.unique(np.concatenate((cells, cells + 1)),
                             return_inverse=True)
-    gapped = np.array([(fam.lyapunov(mem, ends[where]) > 0.0)[back]
+    gapped = np.array([(fam.lyapunov(mem, points[where]) > 0.0)[back]
                        for mem in members])
     left, right = gapped[:, :cells.size], gapped[:, cells.size:]
     still = ~(left & right).any(axis=0)
@@ -632,11 +625,11 @@ def _holes(fam: Family, members: list, ends: np.ndarray,
                                   right[:, still].T):
         spans = [su11.scan_bands(
             lambda xs, mem=mem: np.where(fam.lyapunov(mem, xs) > 0.0, 3.0, 0.0),
-            ends[i:i + 2], ends[i + 1:i + 2], HOLE_TOL, 1)
+            points[i:i + 2], points[i + 1:i + 2], HOLE_TOL, 1)
             for mem, gap_l, gap_r in zip(members, left_i, right_i)
             if gap_l != gap_r]
-        lo = max([ends[i]] + [a for band in spans for a, _ in band])
-        hi = min([ends[i + 1]] + [b for band in spans for _, b in band])
+        lo = max([points[i]] + [a for band in spans for a, _ in band])
+        hi = min([points[i + 1]] + [b for band in spans for _, b in band])
         if all(spans) and lo <= hi:
             holes.append(0.5 * (lo + hi))
     return holes
@@ -674,7 +667,6 @@ class ConstructionReport:
     epsilon: float
     distance: float
     seed: int
-    fitted_rate: Optional[float] = None
 
     @property
     def member_count(self) -> int:
@@ -696,7 +688,8 @@ class ConstructionReport:
             "epsilon": self.epsilon,
             "distance": self.distance,
             "seed": self.seed,
-            "fitted_rate": self.fitted_rate,
+            # the fit spans a series: callers with one fill it in
+            "fitted_rate": None,
         }
 
 

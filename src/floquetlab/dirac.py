@@ -135,10 +135,9 @@ class PiecewisePotential:
         return max(map(abs, self.values.tolist()))
 
     def value_at(self, x: float) -> complex:
-        u = x - math.floor(x / self.period) * self.period
-        k = int(np.searchsorted(self.boundaries, u, side="right")) - 1
-        k = min(max(k, 0), self.values.size - 1)
-        return self.values[k].item()
+        if not math.isfinite(x):
+            raise ValueError(f"point {x} is not finite")
+        return values_at(self, self.boundaries, np.float64(x)).item()
 
     def repeated(self, n: int) -> "PiecewisePotential":
         if n < 1:
@@ -171,6 +170,15 @@ def _boundaries(lengths: np.ndarray) -> np.ndarray:
     b = np.zeros(lengths.size + 1)
     np.cumsum(lengths, out=b[1:])
     return b
+
+
+def values_at(p: PiecewisePotential, boundaries: np.ndarray, xs):
+    """The values of the periodic extension of p at the points xs: each
+    x, reduced modulo the period, takes the last segment that starts at
+    or before it.  boundaries are the segment boundaries of p."""
+    u = xs - np.floor(xs / p.period) * p.period
+    k = np.searchsorted(boundaries, u, side="right") - 1
+    return p.values[np.clip(k, 0, p.values.size - 1)]
 
 
 def concatenate(potentials: Iterable[PiecewisePotential]) -> PiecewisePotential:
@@ -211,18 +219,14 @@ def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
     ratio1, ratio2 = span / p1.period, span / p2.period
     if abs(ratio1 - round(ratio1)) > 1e-9 or abs(ratio2 - round(ratio2)) > 1e-9:
         raise ValueError("periods are not commensurate")
+    # boundaries built here, not the cached p.boundaries, which would
+    # keep an array alive with every measured cover member
     pieces = [(p, _boundaries(p.lengths), int(round(ratio)))
               for p, ratio in ((p1, ratio1), (p2, ratio2))]
     mids = cell_midpoints(np.concatenate([
         (np.arange(rep)[:, None] * p.period + bounds[:-1]).ravel()
         for p, bounds, rep in pieces]), span)
-    values = []
-    for p, bounds, _ in pieces:
-        # the segment of each midpoint, as value_at finds it
-        u = mids - np.floor(mids / p.period) * p.period
-        k = np.searchsorted(bounds, u, side="right") - 1
-        k = np.minimum(np.maximum(k, 0), p.values.size - 1)
-        values.append(p.values[k])
+    values = [values_at(p, bounds, mids) for p, bounds, _ in pieces]
     # Python abs: numpy's complex modulus can differ in the last bit
     return max(map(abs, (values[0] - values[1]).tolist()), default=0.0)
 
@@ -324,20 +328,20 @@ def _real_cosh_sinhc(nw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stepper(lengths: np.ndarray, values: np.ndarray):
-    """step(lam, cols): the segment steps a = ch - i lam e, b = i c e
-    with e = length sinh(sqrt(w))/sqrt(w) and w = length^2 (|c|^2 - lam^2),
-    of the columns cols of the (segment, column) arrays lengths and
-    values at the real energies lam (broadcast against the columns)."""
+    """step(lam): the segment steps a = ch - i lam e, b = i c e with
+    e = length sinh(sqrt(w))/sqrt(w) and w = length^2 (|c|^2 - lam^2),
+    of the (segment, column) arrays lengths and values at the real
+    energies lam (broadcast against the columns)."""
     l2 = lengths * lengths
     c2 = np.abs(values) ** 2
 
-    def step(lam, cols=slice(None)):
-        ch, shc = _real_cosh_sinhc(l2[:, cols] * (lam * lam - c2[:, cols]))
-        e = lengths[:, cols] * shc
+    def step(lam):
+        ch, shc = _real_cosh_sinhc(l2 * (lam * lam - c2))
+        e = lengths * shc
         a = np.empty(e.shape, dtype=complex)
         a.real = ch
         np.multiply(e, -lam, out=a.imag)
-        return a, (1j * values[:, cols]) * e
+        return a, (1j * values) * e
 
     return step
 
@@ -354,10 +358,15 @@ def _norm_bound(lengths: np.ndarray, values: np.ndarray):
 
 def _stack(blocks: Sequence[PiecewisePotential]):
     """at(lams) -> (steps, bound): the batch_product arguments of the
-    period products of blocks of one segment count at the real energies
-    lams, one column per block."""
-    lengths = np.stack([block.lengths for block in blocks], axis=1)[:, :, None]
-    values = np.stack([block.values for block in blocks], axis=1)[:, :, None]
+    period products of the blocks at the real energies lams, one column
+    per block.  Shorter blocks are padded with zero-length segments,
+    whose steps are the identity."""
+    nseg = max(block.lengths.size for block in blocks)
+    lengths = np.zeros((nseg, len(blocks), 1))
+    values = np.zeros((nseg, len(blocks), 1), dtype=complex)
+    for j, block in enumerate(blocks):
+        lengths[:block.lengths.size, j, 0] = block.lengths
+        values[:block.values.size, j, 0] = block.values
     step = _stepper(lengths, values)
     bound = _norm_bound(lengths, values)
     return lambda lams: (lambda lo, hi: step(lams[lo:hi]), bound(lams))
@@ -373,17 +382,11 @@ def _period_product(phi: PiecewisePotential, lams: np.ndarray) -> su11.Su11Batch
 def monodromies(potentials: Sequence[PiecewisePotential],
                 lam: float) -> su11.Su11Batch:
     """Monodromies of several potentials at one real energy, one column
-    each.  Shorter potentials are padded with zero-length segments,
-    whose steps are the identity."""
-    nseg = max(p.lengths.size for p in potentials)
-    lengths = np.zeros((nseg, len(potentials)))
-    values = np.zeros((nseg, len(potentials)), dtype=complex)
-    for j, p in enumerate(potentials):
-        lengths[:p.lengths.size, j] = p.lengths
-        values[:p.values.size, j] = p.values
-    step = _stepper(lengths, values)
-    return su11.batch_product(lambda lo, hi: step(lam, slice(lo, hi)), nseg,
-                              _norm_bound(lengths, values)(lam))
+    each; shorter potentials are padded with identity steps (_stack)."""
+    steps, bound = _stack(potentials)(np.array([lam], dtype=float))
+    P = su11.batch_product(steps, max(p.lengths.size for p in potentials),
+                           bound)
+    return su11.Su11Batch(*(x[:, 0] for x in P))
 
 
 def _trace_profile(phi: PiecewisePotential, lams) -> tuple[np.ndarray, np.ndarray]:

@@ -256,10 +256,21 @@ def _rescale(P: Su11Batch) -> None:
         P.logscale[big] += np.log(absa[big])
 
 
+def _product(a1: np.ndarray, b1: np.ndarray, a0: np.ndarray,
+             b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the products (a1, b1) @ (a0, b0):
+    a1 a0 + b1 conj(b0) and a1 b0 + b1 conj(a0)."""
+    # summed in place; no product is written over its own input, which
+    # numpy rounds differently for a lone complex number
+    na, nb = a1 * a0, a1 * b0
+    na += b1 * b0.conj()
+    nb += b1 * a0.conj()
+    return na, nb
+
+
 def batch_mul(P: Su11Batch, Q: Su11Batch) -> Su11Batch:
     """The products P @ Q, rescaled."""
-    out = Su11Batch(P.a * Q.a + P.b * Q.b.conj(), P.a * Q.b + P.b * Q.a.conj(),
-                    P.logscale + Q.logscale)
+    out = Su11Batch(*_product(P.a, P.b, Q.a, Q.b), P.logscale + Q.logscale)
     _rescale(out)
     return out
 
@@ -275,13 +286,7 @@ def _pairwise_product(a: np.ndarray, b: np.ndarray, rescale: bool) -> Su11Batch:
         if rescale:
             _rescale(Su11Batch(a, b, logscale))
         m = a.shape[0] // 2 * 2
-        a1, a0, b1, b0 = a[1:m:2], a[0:m:2], b[1:m:2], b[0:m:2]
-        # a' = a1 a0 + b1 conj(b0) and b' = a1 b0 + b1 conj(a0), summed
-        # in place; no product is written over its own input, which
-        # numpy rounds differently for a lone complex number
-        na, nb = a1 * a0, a1 * b0
-        na += b1 * b0.conj()
-        nb += b1 * a0.conj()
+        na, nb = _product(a[1:m:2], b[1:m:2], a[0:m:2], b[0:m:2])
         if m < a.shape[0]:
             na, nb = np.concatenate((na, a[m:])), np.concatenate((nb, b[m:]))
         if rescale:
@@ -318,7 +323,13 @@ def batch_product(steps, nsteps: int, bound: np.ndarray) -> Su11Batch:
         rescale = not np.max(bound[..., lo:hi], initial=-math.inf) < LOG_NO_RESCALE
         return _pairwise_product(*steps(lo, hi), rescale)
 
-    parts = [chunk(lo, min(lo + width, n)) for lo in range(0, max(n, 1), width)]
+    return _joined([chunk(lo, min(lo + width, n))
+                    for lo in range(0, max(n, 1), width)])
+
+
+def _joined(parts: list[Su11Batch]) -> Su11Batch:
+    # batches of consecutive points, joined along the points axis; a
+    # single batch is returned as it is
     if len(parts) == 1:
         return parts[0]
     return Su11Batch(*(np.concatenate(x, axis=-1) for x in zip(*parts)))
@@ -369,14 +380,8 @@ def grouped_product(groups, points: np.ndarray, nsteps, stack) -> Su11Batch:
     for block in dict.fromkeys(block for block, _ in groups):
         by_size.setdefault(nsteps(block), []).append(block)
     stacks = [(blocks, stack(blocks), size) for size, blocks in by_size.items()]
-    n = points.size
-    out = Su11Batch(np.empty(n, dtype=complex), np.empty(n, dtype=complex),
-                    np.empty(n))
-    for lo in range(0, max(n, 1), GROUP_POINTS):
-        M = _grouped_block(groups, stacks, points[lo:lo + GROUP_POINTS])
-        for x, y in zip(out, M):
-            x[lo:lo + GROUP_POINTS] = y
-    return out
+    return _joined([_grouped_block(groups, stacks, points[lo:lo + GROUP_POINTS])
+                    for lo in range(0, max(points.size, 1), GROUP_POINTS)])
 
 
 def _grouped_block(groups, stacks, points: np.ndarray) -> Su11Batch:

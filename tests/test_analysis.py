@@ -171,6 +171,52 @@ def test_gordon_defect_zero_at_period_multiples(lengths, values, k, C):
     assert analysis.gordon_defect(phi, k * phi.period, C) == 0.0
 
 
+def gordon_defect_loop(phi, q, C):
+    # the cut loop gordon_defect replaced, with a scalar segment lookup:
+    # one cut at a time, one lookup per midpoint
+    def value_at(x):
+        u = x - math.floor(x / phi.period) * phi.period
+        k = int(np.searchsorted(phi.boundaries, u, side="right")) - 1
+        return phi.values[min(max(k, 0), phi.values.size - 1)].item()
+
+    q = float(q)
+    cuts = {0.0}
+    T = phi.period
+    for shift in (0.0, q, -q):
+        k0 = math.floor(shift / T) - 1
+        k1 = math.ceil((shift + q) / T) + 1
+        for k in range(k0, k1 + 1):
+            for b in phi.boundaries[:-1]:
+                x = b + k * T - shift
+                if 0.0 < x < q:
+                    cuts.add(x)
+    sup = 0.0
+    for mid in dirac.cell_midpoints(list(cuts), q).tolist():
+        v = value_at(mid)
+        sup = max(sup, abs(value_at(mid - q) - v), abs(value_at(mid + q) - v))
+    return analysis._scaled_defect(C, q, sup)
+
+
+def test_gordon_defect_matches_cut_loop():
+    rng = np.random.default_rng(37)
+    for case in range(30):
+        n = int(rng.integers(1, 9))
+        phi = dirac.PiecewisePotential.from_values(
+            rng.uniform(0.05, 1.0, n),
+            rng.normal(size=n) + 1j * rng.normal(size=n))
+        if case % 3 == 0:
+            # repeated data: shifted cuts meet boundaries up to rounding
+            phi = phi.repeated(int(rng.integers(2, 5)))
+        T = phi.period
+        k = int(rng.integers(1, 4))
+        # below T, a non-multiple of T, a multiple of T, above T
+        for q in (T * rng.uniform(0.05, 0.95), T * (k + rng.uniform(0.05, 0.95)),
+                  k * T, T * rng.uniform(1.0, 5.0)):
+            C = float(rng.uniform(0.5, 2.0))
+            assert analysis.gordon_defect(phi, q, C) == gordon_defect_loop(
+                phi, q, C)
+
+
 def test_gordon_defect_single_changed_segment():
     base = dirac.PiecewisePotential.from_values([0.5, 0.5], [0.1, 0.2])
     changed = base.with_value(1, 0.2 + 0.03)

@@ -293,9 +293,30 @@ def test_bad_verblunsky_rows_exit_code(tmp_path, rows):
      2, "config error:"),
     ("thin", {**FREE_CFG, "seed": 1, "construction": {"n_values": 5}},
      2, "config error:"),
+    # 1e400 reads as an infinite float
+    ("bands", {**FREE_CFG, "window": 1e400}, 2, "config error:"),
+    ("bands", {**FREE_CFG, "window": -1}, 2, "config error:"),
+    ("dos", {**FREE_CFG, "window": 0}, 2, "config error:"),
+    ("lyapunov", {**FREE_CFG, "window": -1}, 2, "config error:"),
+    ("thin", {**FREE_CFG, "seed": 1, "window": 1e400}, 2, "config error:"),
+    ("dimension", {**FREE_CFG, "seed": 1, "dimension": {"window": -0.5}},
+     2, "config error:"),
+    ("lyapunov", {**FREE_CFG, "grid_points": -5}, 2, "config error:"),
+    ("lyapunov", {**FREE_CFG, "grid_points": 0}, 2, "config error:"),
+    ("dimension", {**FREE_CFG, "seed": 1, "dimension": {"n_stages": -1}},
+     2, "config error:"),
+    ("gordon", {**FREE_CFG, "gordon": {"q": -1}}, 2, "config error:"),
+    ("gordon", {**CMV_CFG, "verblunsky": [[0.1, 0], [0.5, 0]],
+                "gordon": {"q": 0.9}}, 2, "config error:"),
+    ("gordon", {**CMV_CFG, "verblunsky": [[0.1, 0], [0.5, 0]],
+                "gordon": {"q": -1}}, 2, "config error:"),
 ], ids=["window", "tol", "segment", "seed", "target", "out-of-disk",
         "zero-epsilon", "negative-epsilon", "q", "dos-section",
-        "open-gap-section", "scales", "n-values"])
+        "open-gap-section", "scales", "n-values", "infinite-window",
+        "negative-window", "dos-window", "lyapunov-window", "thin-window",
+        "dimension-window", "negative-grid-points", "zero-grid-points",
+        "negative-stages", "negative-q", "cmv-fractional-q",
+        "cmv-negative-q"])
 def test_bad_config_values_exit_code(tmp_path, capsys, command, cfg, code,
                                      prefix):
     rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),

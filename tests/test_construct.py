@@ -264,8 +264,8 @@ def test_cover_rows_only_where_open(monkeypatch, kind):
     module, name = (dirac, "lyapunov_profile") if kind == "dirac" else (
         cmv, "cmv_lyapunov_profile")
     profile = getattr(module, name)
-    grid = fam.grid(2.0, construct.COVER_GRID_POINTS)
-    ends, pair = construct._cells(fam, grid)
+    # cell i runs from grid[i] to grid[i + 1]; the CMV grid closes at 2 pi
+    grid = fam.closed(fam.grid(2.0, construct.COVER_GRID_POINTS))
     # the base row comes first, then the row of each new member, after
     # its gap search; the cover check's calls in between are not rows
     rows, target_of_row = [], [None]
@@ -302,16 +302,16 @@ def test_cover_rows_only_where_open(monkeypatch, kind):
         assert target == grid[worst]
         open_ = best <= construct.KAPPA_THRESHOLD
         asked = open_.copy()
-        asked[:pair.size] |= open_[pair]
-        asked[pair] |= open_[:pair.size]
+        asked[:-1] |= open_[1:]
+        asked[1:] |= open_[:-1]
         assert points.tobytes() == grid[asked].tobytes()
         full = profile(data, grid)
         assert got.tobytes() == full[asked].tobytes()
         best = np.maximum(best, full)
     assert best.min() > construct.KAPPA_THRESHOLD
     for target in targets[phase:]:
-        j = int(np.searchsorted(ends, target))
-        assert 0 < j < ends.size and ends[j - 1] < target < ends[j]
+        j = int(np.searchsorted(grid, target))
+        assert 0 < j < grid.size and grid[j - 1] < target < grid[j]
     if kind == "cmv":
         assert len(targets) > phase     # this cover had a hole
 
@@ -437,10 +437,8 @@ def test_wrong_batch_step_never_gives_a_cover(monkeypatch, family, wrong):
         def stepper(lengths, values):
             step = right(lengths, values)
             if wrong == "defect":
-                return lambda lam, cols=slice(None): (
-                    step(lam, cols)[0], 1.001 * step(lam, cols)[1])
-            return lambda lam, cols=slice(None): tuple(
-                phase * x for x in step(lam, cols))
+                return lambda lam: (step(lam)[0], 1.001 * step(lam)[1])
+            return lambda lam: tuple(phase * x for x in step(lam))
         monkeypatch.setattr(dirac, "_stepper", stepper)
         run = lambda: construct.resolvent_cover(FREE, 2.0, 0.3, 5)
     else:

@@ -191,7 +191,9 @@ def test_grouped_profile_matches_per_block_reference(family):
     grouped, product = {
         "dirac": (dirac.grouped_trace_profile, dirac._period_product),
         "cmv": (cmv.grouped_cmv_trace_profile, cmv._szego_product)}[family]
-    # 1500 points fill several point blocks, each over several chunks
+    # 1500 points fill several point blocks, each over several chunks;
+    # GROUP_POINTS points are one block, returned as it is, and one more
+    # point starts a second block, joined to the first
     assert 1500 > 2 * su11.GROUP_POINTS
     for _ in range(3):
         # three blocks stacked in one product, one of another step count
@@ -201,7 +203,8 @@ def test_grouped_profile_matches_per_block_reference(family):
                   for k in (0, 1, 0, 2, 3, 1, 0, 3, 2)]
         # one point, as in the merge check of the band scan, many times:
         # a rounding that differs for a lone number shows only now and then
-        for n in (1,) * 20 + (2, 6, 700, 1500):
+        for n in (1,) * 20 + (2, 6, su11.GROUP_POINTS,
+                             su11.GROUP_POINTS + 1, 700, 1500):
             points, labels = random_points(family, rng, n)
             got = grouped(groups, labels)
             want = su11.batch_trace(per_block_reference(product, groups, points),
