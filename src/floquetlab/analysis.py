@@ -156,9 +156,8 @@ def box_counting(S, scales: Sequence[float]) -> DimensionReport:
 def gordon_defect(data, q, C: float) -> float:
     """C^q times the worst mismatch between data and its two q-translates.
 
-    Exact for piecewise-constant potentials (sup over overlap
-    breakpoints; breakpoints that agree to rounding are one, as in
-    dirac.cell_midpoints) and for Verblunsky cycles (sup over indices);
+    Exact for piecewise-constant potentials (dirac.gordon_sup) and for
+    Verblunsky cycles (sup over indices, which repeat with the cycle);
     zero for exactly q-periodic data, for every C.
     """
     if isinstance(data, cmv.VerblunskyCycle):
@@ -166,28 +165,13 @@ def gordon_defect(data, q, C: float) -> float:
         vals = data.values
         n = len(vals)
         sup = 0.0
-        for k in range(qi):
+        for k in range(min(qi, n)):
             sup = max(sup,
                       abs(vals[(k - qi) % n] - vals[k % n]),
                       abs(vals[(k + qi) % n] - vals[k % n]))
         return _scaled_defect(C, qi, sup)
-
-    phi: dirac.PiecewisePotential = data
     q = float(q)
-    T = phi.period
-    bounds = phi.boundaries
-    # breakpoints b + k T - shift of phi(x), phi(x-q), phi(x+q) in [0, q)
-    cuts = [np.zeros(1)]
-    for shift in (0.0, q, -q):
-        ks = np.arange(math.floor(shift / T) - 1, math.ceil((shift + q) / T) + 2)
-        x = (bounds[:-1] + (ks * T)[:, None] - shift).ravel()
-        cuts.append(x[(0.0 < x) & (x < q)])
-    mids = dirac.cell_midpoints(np.concatenate(cuts), q)
-    v = dirac.values_at(phi, bounds, mids)
-    diffs = np.concatenate((dirac.values_at(phi, bounds, mids - q) - v,
-                            dirac.values_at(phi, bounds, mids + q) - v))
-    # Python abs: numpy's complex modulus can differ in the last bit
-    return _scaled_defect(C, q, max(map(abs, diffs.tolist()), default=0.0))
+    return _scaled_defect(C, q, dirac.gordon_sup(data, q))
 
 
 def _scaled_defect(C: float, q: float, sup: float) -> float:
@@ -216,16 +200,6 @@ class Stage:
     target: Optional[float]
     epsilon: Optional[float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "measure": self.measure,
-            "spectrum": [list(iv) for iv in self.spectrum.intervals],
-            "target": self.target,
-            "epsilon": self.epsilon,
-            "segments": self.data.rows,
-        }
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -238,13 +212,6 @@ class Schedule:
     @property
     def final(self) -> Stage:
         return self.stages[-1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "seed": self.seed,
-            "stages": [s.to_json_dict() for s in self.stages],
-        }
 
 
 def step_bound(previous_eps: float, n: int, period: float, measure: float) -> float:

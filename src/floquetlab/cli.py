@@ -46,12 +46,27 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _number(value, name: str, convert=float):
+def _number(value, name: str) -> float:
     """A number read from the config; anything else is a config error."""
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _whole(value, name: str, least: int) -> int:
+    """A whole number of at least least read from the config; a
+    fraction, or anything that is not a number, is a config error."""
+    if isinstance(value, int):
+        number = value      # exact: a seed above 2^53 is no float
+    else:
+        number = _number(value, name)
+        if not number.is_integer():
+            raise ConfigError(f"{name} must be a whole number, got {value!r}")
+        number = int(number)
+    if number < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
+    return number
 
 
 def _positive(value, name: str) -> float:
@@ -66,12 +81,12 @@ def _window(section: dict, default: float) -> float:
     return _positive(section.get("window", default), "window")
 
 
-def _numbers(section: dict, name: str, convert=float) -> list:
-    """A list of numbers in a config section; missing or empty reads as []."""
+def _list(section: dict, name: str) -> list:
+    """A list in a config section; missing or empty reads as []."""
     values = section.get(name) or []
     if not isinstance(values, list):
         raise ConfigError(f"{name} must be a list, got {values!r}")
-    return [_number(v, name, convert) for v in values]
+    return values
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -105,7 +120,7 @@ def _require_seed(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("a seed is mandatory for randomized commands")
-    return _number(seed, "seed", int)
+    return _whole(seed, "seed", 0)
 
 
 def _tol(cfg: dict) -> float:
@@ -114,12 +129,16 @@ def _tol(cfg: dict) -> float:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
-def _write_text(path: Path, text: str, fmt_wanted: str, fmt: str) -> None:
-    if fmt in (fmt_wanted, "both"):
+def _write_text(path: Path, text: str, fmt: str) -> None:
+    """Write the artifact when fmt is its file suffix or "both"."""
+    if fmt in (path.suffix[1:], "both"):
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
 
@@ -146,7 +165,7 @@ def cmd_bands(cfg: dict, args) -> int:
     fam = construct.FAMILIES[kind]
     spectrum = fam.bands(
         _data_from(cfg, kind), _window(cfg, 3.0), tol,
-        _number(cfg.get("oversample", 1.0), "oversample"))
+        _positive(cfg.get("oversample", 1.0), "oversample"))
     intervals = spectrum.intervals
     rows = [[i, a, b, b - a] for i, (a, b) in enumerate(intervals)]
     summary = {
@@ -157,8 +176,8 @@ def cmd_bands(cfg: dict, args) -> int:
     }
     _write_text(out / "bands.csv",
                 _csv_text(["index", "left", "right", "length"], rows),
-                "csv", args.format)
-    _write_text(out / "bands.json", _json_text(summary), "json", args.format)
+                args.format)
+    _write_text(out / "bands.json", _json_text(summary), args.format)
     return EXIT_OK
 
 
@@ -167,7 +186,7 @@ def cmd_dos(cfg: dict, args) -> int:
     tol = _tol(cfg)
     out = _out_dir(args)
     R = _window(cfg, 3.0)
-    nodes = _number(_section(cfg, "dos").get("nodes", 48), "nodes", int)
+    nodes = _whole(_section(cfg, "dos").get("nodes", 48), "nodes", 1)
     bandset = dirac.bands(phi, R, tol)
     rows = []
     for i, (a, b) in enumerate(bandset.intervals):
@@ -185,25 +204,23 @@ def cmd_dos(cfg: dict, args) -> int:
     }
     _write_text(out / "dos.csv",
                 _csv_text(["index", "left", "right", "weight", "complete"], rows),
-                "csv", args.format)
-    _write_text(out / "dos.json", _json_text(summary), "json", args.format)
+                args.format)
+    _write_text(out / "dos.json", _json_text(summary), args.format)
     return EXIT_OK
 
 
 def cmd_lyapunov(cfg: dict, args) -> int:
     kind = _kind(cfg)
     out = _out_dir(args)
-    n = _number(cfg.get("grid_points", 512), "grid_points", int)
-    if n < 1:
-        raise ConfigError(f"grid_points must be at least 1, got {n}")
+    n = _whole(cfg.get("grid_points", 512), "grid_points", 1)
     fam = construct.FAMILIES[kind]
     data = _data_from(cfg, kind)
     grid = fam.grid(_window(cfg, 3.0), n)
     rows = [[float(x), float(v)] for x, v in zip(grid, fam.lyapunov(data, grid))]
     _write_text(out / "lyapunov.csv",
-                _csv_text(["point", "lyapunov"], rows), "csv", args.format)
+                _csv_text(["point", "lyapunov"], rows), args.format)
     _write_text(out / "lyapunov.json",
-                _json_text({"kind": kind, "values": rows}), "json", args.format)
+                _json_text({"kind": kind, "values": rows}), args.format)
     return EXIT_OK
 
 
@@ -235,13 +252,12 @@ def cmd_open_gap(cfg: dict, args) -> int:
     result, cert = construct.open_gap(_data_from(cfg, kind), target, eps, seed)
     doc = _certificate_dict(cert)
     doc["verification"] = construct.verify_gap_certificate(result, cert)
-    _write_text(out / "gap_certificate.json", _json_text(doc), "json", args.format)
-    if args.format in ("csv", "both"):
-        rows = [[cert.target, cert.case, cert.achieved_trace, cert.distance,
-                 cert.result_period]]
-        _write_text(out / "gap_certificate.csv",
-                    _csv_text(["target", "case", "trace", "distance", "period"],
-                              rows), "csv", args.format)
+    _write_text(out / "gap_certificate.json", _json_text(doc), args.format)
+    rows = [[cert.target, cert.case, cert.achieved_trace, cert.distance,
+             cert.result_period]]
+    _write_text(out / "gap_certificate.csv",
+                _csv_text(["target", "case", "trace", "distance", "period"],
+                          rows), args.format)
     return EXIT_OK
 
 
@@ -251,7 +267,7 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
     tol = _tol(cfg)
     ccfg = _section(cfg, "construction")
     eps = _positive(ccfg.get("epsilon", 0.3), "epsilon")
-    n_values = _numbers(ccfg, "n_values", int)
+    n_values = [_whole(v, "n_values", 1) for v in _list(ccfg, "n_values")]
     summary_rows = []
     reports = []
     partial_error: Optional[SearchFailure] = None
@@ -276,26 +292,24 @@ def _thin_common(cfg: dict, args, kind: str) -> int:
         doc = report.to_json_dict()
         doc["fitted_rate"] = fitted
         name = f"thin_N{report.n_value}.json"
-        _write_text(out / name, _json_text(doc), "json", args.format)
+        _write_text(out / name, _json_text(doc), args.format)
     _write_text(out / "thin_summary.csv",
                 _csv_text(["N", "final_period", "measure", "log_measure"],
-                          summary_rows), "csv", args.format)
-    if args.format in ("json", "both"):
-        measures = [r[2] for r in summary_rows]
-        summary = {
-            "kind": kind,
-            "seed": seed,
-            "epsilon": eps,
-            "fitted_rate": fitted,
-            "monotone_non_increasing": all(
-                a >= b for a, b in zip(measures, measures[1:])),
-            "rows": [dict(zip(("N", "final_period", "measure", "log_measure"), r))
-                     for r in summary_rows],
-        }
-        if partial_error is not None:
-            summary["error"] = str(partial_error)
-        _write_text(out / "thin_summary.json", _json_text(summary),
-                    "json", args.format)
+                          summary_rows), args.format)
+    measures = [r[2] for r in summary_rows]
+    summary = {
+        "kind": kind,
+        "seed": seed,
+        "epsilon": eps,
+        "fitted_rate": fitted,
+        "monotone_non_increasing": all(
+            a >= b for a, b in zip(measures, measures[1:])),
+        "rows": [dict(zip(("N", "final_period", "measure", "log_measure"), r))
+                 for r in summary_rows],
+    }
+    if partial_error is not None:
+        summary["error"] = str(partial_error)
+    _write_text(out / "thin_summary.json", _json_text(summary), args.format)
     if partial_error is not None:
         print(f"search failure (partial results kept): {partial_error}",
               file=sys.stderr)
@@ -322,11 +336,12 @@ def cmd_dimension(cfg: dict, args) -> int:
     dcfg = _section(cfg, "dimension")
     phi = _data_from(cfg, "dirac")
     eps = _positive(dcfg.get("epsilon", 0.4), "epsilon")
-    n_stages = _number(dcfg.get("n_stages", 2), "n_stages", int)
-    if n_stages < 0:
-        raise ConfigError(f"n_stages must be at least 0, got {n_stages}")
+    n_stages = _whole(dcfg.get("n_stages", 2), "n_stages", 0)
     window = _window(dcfg, 0.5)
-    scales = _numbers(dcfg, "scales") or [2.0 ** -k for k in range(3, 11)]
+    scales = ([_positive(e, "scales") for e in _list(dcfg, "scales")]
+              or [2.0 ** -k for k in range(3, 11)])
+    if any(b >= a for a, b in zip(scales, scales[1:])):
+        raise ConfigError(f"scales must be strictly decreasing, got {scales!r}")
     schedule = analysis.build_schedule(phi, eps, n_stages, seed,
                                        window=window, tol=tol)
     stage_docs = []
@@ -341,10 +356,10 @@ def cmd_dimension(cfg: dict, args) -> int:
                 zip(rep.scales, rep.counts, list(rep.slopes) + [""])]
         _write_text(out / f"dimension_stage{i}.csv",
                     _csv_text(["epsilon", "count", "slope"], rows),
-                    "csv", args.format)
+                    args.format)
     _write_text(out / "dimension.json",
                 _json_text({"window": schedule.window, "seed": seed,
-                            "stages": stage_docs}), "json", args.format)
+                            "stages": stage_docs}), args.format)
     return EXIT_OK
 
 
@@ -355,17 +370,17 @@ def cmd_gordon(cfg: dict, args) -> int:
     q = gcfg.get("q")
     if q is None:
         raise ConfigError("gordon config needs 'q'")
-    C = _number(gcfg.get("c", 2.0), "c")
+    C = _positive(gcfg.get("c", 2.0), "c")
     # q is checked as a number but written as given (1 stays 1)
     shift = _positive(q, "q")
     if kind == "cmv" and not shift.is_integer():
         raise ConfigError(f"q must be a whole number for CMV data, got {q!r}")
     value = analysis.gordon_defect(_data_from(cfg, kind), shift, C)
     doc = {"kind": kind, "q": q, "c": C, "defect": value}
-    _write_text(out / "gordon.json", _json_text(doc), "json", args.format)
+    _write_text(out / "gordon.json", _json_text(doc), args.format)
     _write_text(out / "gordon.csv",
                 _csv_text(["q", "c", "defect"], [[q, C, value]]),
-                "csv", args.format)
+                args.format)
     return EXIT_OK
 
 

@@ -254,12 +254,11 @@ def cmv_bands_of_groups(groups: Sequence[tuple[VerblunskyCycle, int]],
 
 
 def _scan_arcs(profile, q: int, tol: float) -> ArcSet:
-    # cell i runs from grid[i] to grid[i] + 2 pi / npts, the last one to
-    # 2 pi, where the profile equals its value at 0
+    # a closed grid of max(4096, 64 q) cells on [0, 2 pi]; the profile at
+    # 2 pi equals its value at 0
     npts = max(4096, 64 * q)
-    grid = np.linspace(0.0, TWO_PI, npts, endpoint=False)
-    return ArcSet(arcs=su11.scan_bands(profile, np.append(grid, TWO_PI),
-                                       grid + TWO_PI / npts, tol, q + 1))
+    return ArcSet(arcs=su11.scan_bands(
+        profile, np.linspace(0.0, TWO_PI, npts + 1), tol, q + 1))
 
 
 def cmv_lyapunov(alpha: VerblunskyCycle, theta: float) -> float:

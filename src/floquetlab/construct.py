@@ -625,7 +625,7 @@ def _holes(fam: Family, members: list, points: np.ndarray,
                                   right[:, still].T):
         spans = [su11.scan_bands(
             lambda xs, mem=mem: np.where(fam.lyapunov(mem, xs) > 0.0, 3.0, 0.0),
-            points[i:i + 2], points[i + 1:i + 2], HOLE_TOL, 1)
+            points[i:i + 2], HOLE_TOL, 1)
             for mem, gap_l, gap_r in zip(members, left_i, right_i)
             if gap_l != gap_r]
         lo = max([points[i]] + [a for band in spans for a, _ in band])

@@ -28,7 +28,7 @@ DOS_EDGE_MARGIN = 1e-6
 # Gauss-Legendre nodes per segment of the density-of-states period average.
 DOS_NODES_PER_SEGMENT = 24
 # Segment boundaries closer than this fraction of the span are one
-# boundary (sup_distance, analysis.gordon_defect).
+# boundary (sup_distance, gordon_sup).
 SAME_CUT = 1e-12
 
 
@@ -193,8 +193,8 @@ def concatenate(potentials: Iterable[PiecewisePotential]) -> PiecewisePotential:
 
 
 def cell_midpoints(cuts, span: float) -> np.ndarray:
-    """Midpoints of the cells into which the cuts, all in [0, span),
-    divide [0, span].
+    """Midpoints of the cells into which the cut 0 and the cuts, all in
+    [0, span), divide [0, span].
 
     Cuts that agree to SAME_CUT times the span count as one cut: a cut
     placed at k T + b and the cumulative sum of the same segments differ
@@ -202,9 +202,20 @@ def cell_midpoints(cuts, span: float) -> np.ndarray:
     up neighbouring segments.  Assumes no segment is shorter than
     SAME_CUT times the span.
     """
-    cuts = np.sort(np.append(cuts, span))
+    cuts = np.sort(np.concatenate(([0.0], cuts, [span])))
     cuts = cuts[np.append(True, np.diff(cuts) > SAME_CUT * span)]
     return (cuts[:-1] + cuts[1:]) / 2.0
+
+
+def _cuts(p: PiecewisePotential, boundaries: np.ndarray, s: float,
+          span: float) -> np.ndarray:
+    """The segment cuts of x -> p(x + s) in (0, span): the points
+    b + k T - s there, for b a segment start of p (boundaries are its
+    segment boundaries) and T its period."""
+    T = p.period
+    ks = np.arange(math.floor(s / T) - 1, math.ceil((s + span) / T) + 2)
+    x = (boundaries[:-1] + (ks * T)[:, None] - s).ravel()
+    return x[(0.0 < x) & (x < span)]
 
 
 def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
@@ -221,14 +232,26 @@ def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
         raise ValueError("periods are not commensurate")
     # boundaries built here, not the cached p.boundaries, which would
     # keep an array alive with every measured cover member
-    pieces = [(p, _boundaries(p.lengths), int(round(ratio)))
-              for p, ratio in ((p1, ratio1), (p2, ratio2))]
-    mids = cell_midpoints(np.concatenate([
-        (np.arange(rep)[:, None] * p.period + bounds[:-1]).ravel()
-        for p, bounds, rep in pieces]), span)
-    values = [values_at(p, bounds, mids) for p, bounds, _ in pieces]
+    pieces = [(p, _boundaries(p.lengths)) for p in (p1, p2)]
+    mids = cell_midpoints(np.concatenate(
+        [_cuts(p, bounds, 0.0, span) for p, bounds in pieces]), span)
+    values = [values_at(p, bounds, mids) for p, bounds in pieces]
     # Python abs: numpy's complex modulus can differ in the last bit
     return max(map(abs, (values[0] - values[1]).tolist()), default=0.0)
+
+
+def gordon_sup(p: PiecewisePotential, q: float) -> float:
+    """The largest mismatch |p(x -+ q) - p(x)| of p with its two
+    q-translates, exact: one value per cell of the segment cuts of the
+    three in [0, q) (cell_midpoints); zero when q is a period of p."""
+    bounds = p.boundaries
+    mids = cell_midpoints(np.concatenate(
+        [_cuts(p, bounds, s, q) for s in (0.0, q, -q)]), q)
+    v = values_at(p, bounds, mids)
+    diffs = np.concatenate((values_at(p, bounds, mids - q) - v,
+                            values_at(p, bounds, mids + q) - v))
+    # Python abs: numpy's complex modulus can differ in the last bit
+    return max(map(abs, diffs.tolist()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +460,6 @@ class BandSet:
     """Sorted disjoint closed intervals: a spectrum clipped to [-R, R]."""
 
     intervals: tuple[tuple[float, float], ...]
-    window: float
 
     @property
     def count(self) -> int:
@@ -479,8 +501,7 @@ def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
     npts = max(int(math.ceil(2.0 * R / spacing0)) + 1, 9)
     grid = np.linspace(-R, R, npts)
     return BandSet(intervals=su11.scan_bands(
-        profile, grid, grid[1:], tol, _band_count_bound(period, sup, R)),
-        window=R)
+        profile, grid, tol, _band_count_bound(period, sup, R)))
 
 
 # ---------------------------------------------------------------------------

@@ -471,30 +471,30 @@ def bisect_band_edges(profile, lo: np.ndarray, hi: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def scan_bands(profile, points: np.ndarray, right: np.ndarray, tol: float,
+def scan_bands(profile, points: np.ndarray, tol: float,
                bound: int) -> tuple[tuple[float, float], ...]:
     """Connected components of {|profile| <= 2} in [points[0], points[-1]],
     sorted, with edges to within tol.
 
-    The cells [points[i], right[i]] tile the interval: right[i] is
-    points[i+1] up to rounding.  The profile is evaluated once at points;
-    a cell whose two ends differ in membership holds one band edge,
-    bisected on the cell, and a band holding an end of the interval is
-    clipped there.  A gap no wider than a cell whose midpoint has
-    |profile| within 1e-10 of 2 is numerically closed and merged.
-    Bands narrower than a cell can be missed.  Raises
+    points is a closed, increasing grid: the cells [points[i],
+    points[i+1]] tile the interval.  The profile is evaluated once at
+    points; a cell whose two ends differ in membership holds one band
+    edge, bisected on the cell, and a band holding an end of the
+    interval is clipped there.  A gap no wider than a cell whose
+    midpoint has |profile| within 1e-10 of 2 is numerically closed and
+    merged.  Bands narrower than a cell can be missed.  Raises
     BandCountExceeded when more than bound bands remain.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     inside = np.abs(profile(points)) <= 2.0
-    width = float(np.max(right - points[:-1]))
+    width = float(np.max(np.diff(points)))
     idx = np.flatnonzero(inside[:-1] != inside[1:])
     exits = inside[idx]                      # inside -> outside edges
     edges = np.empty(0)
     if idx.size:
-        lo = np.where(exits, points[idx], right[idx])    # inside end
-        hi = np.where(exits, right[idx], points[idx])    # outside end
+        lo = np.where(exits, points[idx], points[idx + 1])    # inside end
+        hi = np.where(exits, points[idx + 1], points[idx])    # outside end
         edges = bisect_band_edges(profile, lo, hi, width, tol)
 
     # a band starts at an outside -> inside edge (or at the interval

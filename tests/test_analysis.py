@@ -9,8 +9,8 @@ from floquetlab import analysis, cmv, dirac
 from floquetlab.errors import EmptySet
 
 
-def bandset(*intervals, window=10.0):
-    return dirac.BandSet(intervals=tuple(intervals), window=window)
+def bandset(*intervals):
+    return dirac.BandSet(intervals=tuple(intervals))
 
 
 def test_measure_basic():
@@ -232,6 +232,23 @@ def test_gordon_defect_cycles():
     assert analysis.gordon_defect(beta, 2, 2.0) == pytest.approx(4 * 0.05)
 
 
+def test_gordon_defect_cycle_beyond_its_length():
+    # the index terms repeat with the cycle length n, so q = 3n + 1 gives
+    # the defect of the full loop over range(q)
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5):
+        alpha = cmv.VerblunskyCycle.from_values(
+            0.3 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)))
+        q = 3 * n + 1
+        vals = alpha.values
+        sup = 0.0
+        for k in range(q):
+            sup = max(sup, abs(vals[(k - q) % n] - vals[k % n]),
+                      abs(vals[(k + q) % n] - vals[k % n]))
+        assert analysis.gordon_defect(alpha, q, 1.5) == analysis._scaled_defect(
+            1.5, q, sup)
+
+
 def test_gordon_defect_overflow_guarded():
     base = dirac.PiecewisePotential.from_values([1.0], [0.1])
     changed = dirac.concatenate([base] * 599 + [base.with_value(0, 0.2)])
@@ -287,7 +304,3 @@ def test_reports_serialize():
     rep = analysis.box_counting(bandset((0.0, 1.0)), [0.5, 0.25])
     doc = rep.to_json_dict()
     assert doc["counts"] == [2, 4]
-    phi0 = dirac.PiecewisePotential.free(1.0)
-    sched = analysis.build_schedule(phi0, 0.4, 1, seed=2)
-    doc = sched.to_json_dict()
-    assert len(doc["stages"]) == 2

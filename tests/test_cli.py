@@ -14,6 +14,10 @@ FREE_CFG = {"kind": "dirac", "potential": [[1.0, 0.0, 0.0]],
 CONST_CFG = {"kind": "dirac", "potential": [[1.0, 1.0, 0.0]],
              "window": 3.0, "tol": 1e-8}
 CMV_CFG = {"kind": "cmv", "verblunsky": [[0.5, 0.0]], "tol": 1e-8}
+# two segments with interior gaps, so complete bands exist
+GAPPED_CFG = {"kind": "dirac", "potential": [[0.5, 0.3, 0.1], [0.5, -0.2, 0.0]],
+              "window": 3.5, "tol": 1e-8}
+GORDON_CFG = {"kind": "dirac", "potential": [[1, 0.5, 0], [0.5, 0.1, 0]]}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -310,13 +314,37 @@ def test_bad_verblunsky_rows_exit_code(tmp_path, rows):
                 "gordon": {"q": 0.9}}, 2, "config error:"),
     ("gordon", {**CMV_CFG, "verblunsky": [[0.1, 0], [0.5, 0]],
                 "gordon": {"q": -1}}, 2, "config error:"),
+    ("open-gap", {**FREE_CFG, "seed": -1, "open_gap": {"target": 1.0}},
+     2, "config error:"),
+    ("open-gap", {**FREE_CFG, "seed": 1.5, "open_gap": {"target": 1.0}},
+     2, "config error:"),
+    ("thin", {**FREE_CFG, "seed": 1, "construction": {"n_values": [2.5]}},
+     2, "config error:"),
+    ("gordon", {**GORDON_CFG, "gordon": {"q": 0.5, "c": 0}}, 2,
+     "config error:"),
+    ("gordon", {**GORDON_CFG, "gordon": {"q": 0.5, "c": -2}}, 2,
+     "config error:"),
+    ("gordon", {**GORDON_CFG, "gordon": {"q": 0.5, "c": 1e400}}, 2,
+     "config error:"),
+    ("gordon", {**GORDON_CFG, "gordon": {"q": 0.5, "c": "nan"}}, 2,
+     "config error:"),
+    ("dimension", {**FREE_CFG, "seed": 1, "dimension": {"scales": [0.1, 0.2]}},
+     2, "config error:"),
+    ("dimension", {**FREE_CFG, "seed": 1, "dimension": {"scales": [-0.1]}},
+     2, "config error:"),
+    ("dos", {**GAPPED_CFG, "dos": {"nodes": 0}}, 2, "config error:"),
+    ("dos", {**GAPPED_CFG, "dos": {"nodes": -3}}, 2, "config error:"),
+    ("bands", {**FREE_CFG, "oversample": 1e400}, 2, "config error:"),
 ], ids=["window", "tol", "segment", "seed", "target", "out-of-disk",
         "zero-epsilon", "negative-epsilon", "q", "dos-section",
         "open-gap-section", "scales", "n-values", "infinite-window",
         "negative-window", "dos-window", "lyapunov-window", "thin-window",
         "dimension-window", "negative-grid-points", "zero-grid-points",
         "negative-stages", "negative-q", "cmv-fractional-q",
-        "cmv-negative-q"])
+        "cmv-negative-q", "negative-seed", "fractional-seed",
+        "fractional-n-value", "zero-c", "negative-c", "infinite-c", "nan-c",
+        "increasing-scales", "negative-scale", "zero-nodes",
+        "negative-nodes", "infinite-oversample"])
 def test_bad_config_values_exit_code(tmp_path, capsys, command, cfg, code,
                                      prefix):
     rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
@@ -338,3 +366,50 @@ def test_python_m_entry_point(tmp_path, cfg, code, stderr):
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
+@pytest.mark.parametrize("args", [
+    ["--seed", "-1"], ["--out", "{file}"], ["--out", "{file}/sub"],
+], ids=["negative-seed", "out-is-a-file", "out-below-a-file"])
+def test_bad_arguments_exit_code(tmp_path, capsys, args):
+    cfg = {**FREE_CFG, "seed": 1, "open_gap": {"target": 1.0}}
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    args = [a.format(file=existing) for a in args]
+    rc = cli.main(["open-gap", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out"), *args])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert existing.read_text() == ""
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("bands", FREE_CFG),
+    ("dos", {**GAPPED_CFG, "dos": {"nodes": 16}}),
+    ("lyapunov", {**CONST_CFG, "grid_points": 64}),
+    ("open-gap", {**FREE_CFG, "seed": 7,
+                  "open_gap": {"target": math.pi / 2, "epsilon": 0.2}}),
+    ("gordon", {**GORDON_CFG, "gordon": {"q": 0.5, "c": 2}}),
+], ids=["bands", "dos", "lyapunov", "open-gap", "gordon"])
+def test_format_writes_the_files_of_its_suffix(tmp_path, capsys, command,
+                                               cfg):
+    # each format writes exactly its files of the "both" run, with the
+    # same bytes, and reports them in the same order
+    p = write_cfg(tmp_path, cfg)
+    wrote, files = {}, {}
+    for fmt in ("both", "csv", "json"):
+        out = tmp_path / fmt
+        assert cli.main([command, "--config", p, "--out", str(out),
+                         "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith(f"wrote {out}") for line in lines)
+        wrote[fmt] = [Path(line[len("wrote "):]).name for line in lines]
+        files[fmt] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(files[fmt]) == sorted(wrote[fmt])
+    for fmt in ("csv", "json"):
+        assert wrote[fmt]
+        assert wrote[fmt] == [name for name in wrote["both"]
+                              if name.endswith("." + fmt)]
+        assert all(files[fmt][name] == files["both"][name]
+                   for name in wrote[fmt])
+    assert len(wrote["both"]) == len(wrote["csv"]) + len(wrote["json"])

@@ -251,3 +251,21 @@ def test_grouped_cmv_profile_matches_direct():
     d1 = cmv.grouped_cmv_discriminant_profile(groups, thetas)
     d2 = cmv.cmv_discriminant_profile(full, thetas)
     assert np.max(np.abs(d1 - d2) / np.maximum(1.0, np.abs(d2))) < 1e-12
+
+
+def test_arc_starting_in_the_last_cell_is_clipped_at_two_pi():
+    # an arc of length 1 starting half a cell before 2 pi: its start is
+    # bisected in the last cell [grid[-1], 2 pi] and its end is 2 pi
+    cell = TWO_PI / 4096
+    start = TWO_PI - 0.5 * cell
+    centre = start + 0.5
+
+    def profile(ts):
+        return 2.0 + 10.0 * (math.cos(0.5) - np.cos(ts - centre))
+
+    arcs = cmv._scan_arcs(profile, 1, 1e-10)
+    assert len(arcs.arcs) == 2
+    (a0, b0), (a1, b1) = arcs.arcs
+    assert a0 == 0.0 and abs(b0 - (start + 1.0 - TWO_PI)) <= 1e-10
+    assert TWO_PI - cell < a1 < TWO_PI and abs(a1 - start) <= 1e-10
+    assert b1 == TWO_PI

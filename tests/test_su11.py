@@ -260,3 +260,25 @@ def test_semigroup_word_never_in_forbidden_band():
         found += 1
         assert abs(word.trace) > 2.0 + 0.05
     assert found >= 3
+
+
+def test_scan_bands_on_uneven_closed_grid():
+    # |3 cos x| <= 2 on the bands pi/2 + k pi -+ asin(2/3); a first
+    # cell of width 1e-4, then widths 0.1 to 0.3 in random order, so each
+    # edge is bisected on a cell far wider than the first; the interval
+    # ends inside bands
+    rng = np.random.default_rng(4)
+    widths = np.append(1e-4, rng.permutation(np.linspace(0.1, 0.3, 40)))
+    points = 1.0 + np.concatenate(([0.0], np.cumsum(widths)))
+    points = points[points < 8.0]
+    points = np.append(points, 8.0)
+    half = math.asin(2.0 / 3.0)
+    tol = 1e-10
+    bands = su11.scan_bands(lambda xs: 3.0 * np.cos(xs), points, tol, 3)
+    want = [(1.0, math.pi / 2 + half),
+            (3 * math.pi / 2 - half, 3 * math.pi / 2 + half),
+            (5 * math.pi / 2 - half, 8.0)]
+    assert len(bands) == len(want)
+    for (a, b), (wa, wb) in zip(bands, want):
+        assert abs(a - wa) <= tol and abs(b - wb) <= tol
+    assert bands[0][0] == 1.0 and bands[-1][1] == 8.0
