@@ -1,7 +1,7 @@
 """Quantitative geometry of computed spectra and nested thinning schedules.
 
 Lebesgue measure, Hausdorff distance and box-counting dimension act on
-the interval and arc sets produced by the dirac and cmv modules; the
+the band sets (su11.BandSet) of the dirac and cmv modules; the
 Gordon defect quantifies how far data is from exact repetition at a
 given scale; build_schedule chains thin-spectrum stages whose step
 sizes obey the Gordon-compatible recursion
@@ -11,42 +11,32 @@ sizes obey the Gordon-compatible recursion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import cmv, construct, dirac
+from . import cmv, construct, dirac, su11
 from .errors import EmptySet, StageInfeasible
-
-SpectrumSet = Union[dirac.BandSet, cmv.ArcSet]
 
 # Below this step size, double precision cannot express a meaningful
 # perturbation of order-one data, so a further stage cannot be built.
 STEP_FLOOR = 1e-7
 
 
-def _intervals_of(S) -> tuple[tuple[float, float], ...]:
-    # a BandSet or an ArcSet, or a raw sequence of pairs
-    if hasattr(S, "intervals"):
-        return S.intervals
-    return tuple((float(a), float(b)) for a, b in S)
-
-
-def lebesgue_measure(S) -> float:
+def lebesgue_measure(S: su11.BandSet) -> float:
     """Total length of a band set (or angular length of an arc set)."""
-    return float(sum(b - a for a, b in _intervals_of(S)))
+    return S.measure
 
 
-def hausdorff_distance(S1, S2) -> float:
+def hausdorff_distance(S1: su11.BandSet, S2: su11.BandSet) -> float:
     """Hausdorff distance between two nonempty closed interval unions.
 
     Computed exactly from endpoints: the directed distance from A to B
     is maximized either at an endpoint of A or at a gap midpoint of B
     clipped into A.
     """
-    A = _intervals_of(S1)
-    B = _intervals_of(S2)
+    A, B = S1.intervals, S2.intervals
     if not A or not B:
         raise EmptySet("Hausdorff distance needs nonempty sets")
 
@@ -69,13 +59,14 @@ def hausdorff_distance(S1, S2) -> float:
     return max(directed(A, B), directed(B, A))
 
 
-def covering_count(S, eps: float) -> int:
+def covering_count(S: su11.BandSet, eps: float) -> int:
     """Minimal number of closed length-eps intervals covering the set.
 
     The greedy sweep placing each interval at the leftmost uncovered
-    point is optimal for finite unions of closed intervals.
+    point is optimal for finite unions of closed intervals.  The boxes
+    ending inside an interval are counted at once from its length.
     """
-    ivs = _intervals_of(S)
+    ivs = S.intervals
     if not ivs:
         return 0
     if not eps > 0:
@@ -89,8 +80,9 @@ def covering_count(S, eps: float) -> int:
         if start > b:
             i += 1
             continue
-        count += 1
-        end = start + eps
+        boxes = max(math.ceil((b - start) / eps - 1e-12), 1)
+        count += boxes
+        end = start + boxes * eps
         pos = end
         while i < len(ivs) and ivs[i][1] <= end + 1e-12 * eps:
             i += 1
@@ -294,33 +286,27 @@ def build_schedule(phi0: dirac.PiecewisePotential, eps: float, n_max: int,
                 f"floating-point floor {STEP_FLOOR}",
                 diagnostics={"stage": n, "bound": eps_allow})
         oversample = max(8.0, 64.0 / data.period)
-        built = None
+        lifted = {lift: data.repeated(lift) for lift, _, _ in STAGE_LADDER}
         for lam_target in _stage_targets(spectrum, data.period):
-            for lift, word_length, margin in STAGE_LADDER:
-                sub_seed = int(rng.integers(2 ** 63))
-                lifted = data.repeated(lift) if lift > 1 else data
-                budget = replace(
-                    STAGE_BUDGET,
-                    word_lengths=frozenset(range(1, word_length + 1)),
-                    trace_margin=margin)
-                try:
-                    phit, cert = construct.open_gap(
-                        lifted, lam_target, eps_allow, sub_seed, budget)
-                except construct.BudgetExhausted:
-                    continue
-                new_spectrum = dirac.bands(phit, window, tol,
-                                           oversample=oversample)
-                if new_spectrum.measure < spectrum.measure - 8.0 * tol:
-                    built = (phit, cert, new_spectrum)
-                    break
-            if built is not None:
-                break
-        if built is None:
+            try:
+                # climb raises after its last rung, so this loop ends
+                # only at a measure-decreasing gap
+                for phit in construct.climb(
+                        lifted, lam_target, eps_allow, rng, STAGE_LADDER,
+                        STAGE_BUDGET,
+                        lambda lift, length: frozenset(range(1, length + 1))):
+                    new_spectrum = dirac.bands(phit, window, tol,
+                                               oversample=oversample)
+                    if new_spectrum.measure < spectrum.measure - 8.0 * tol:
+                        break
+            except construct.BudgetExhausted:
+                continue
+            break
+        else:
             raise StageInfeasible(
                 f"stage {n}: no target admitted a measure-decreasing gap "
                 f"within the step bound {eps_allow:.3e}",
                 diagnostics={"stage": n, "bound": eps_allow})
-        phit, cert, new_spectrum = built
         period = phit.period
         target = math.exp(-math.sqrt(period)) if period < 1e6 else 0.0
         if new_spectrum.measure <= 0.0:

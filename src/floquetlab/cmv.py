@@ -58,9 +58,10 @@ class VerblunskyCycle:
         return [[v.real, v.imag] for v in self.values]
 
     def repeated(self, n: int) -> "VerblunskyCycle":
+        """n periods as one; one period is the cycle as it is."""
         if n < 1:
             raise ValueError("repetition count must be >= 1")
-        return VerblunskyCycle(values=self.values * n)
+        return self if n == 1 else VerblunskyCycle(values=self.values * n)
 
     def with_value(self, k: int, value) -> "VerblunskyCycle":
         vals = list(self.values)
@@ -186,28 +187,16 @@ def cmv_discriminant(alpha: VerblunskyCycle, theta: float) -> float:
     return float(cmv_discriminant_profile(alpha, [theta])[0])
 
 
-@dataclass(frozen=True)
-class ArcSet:
-    """Sorted disjoint closed arcs on the circle, parameters in [0, 2 pi].
+class ArcSet(su11.BandSet):
+    """A band set of sorted disjoint closed arcs on the circle, in [0, 2 pi].
 
     Arcs are stored cut at theta = 0; a spectral arc crossing 0 appears
     as two stored arcs and is re-merged for presentation.
     """
 
-    arcs: tuple[tuple[float, float], ...]
-
     @property
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        """The stored arcs, as BandSet.intervals."""
-        return self.arcs
-
-    @property
-    def count(self) -> int:
-        return len(self.arcs)
-
-    @property
-    def measure(self) -> float:
-        return float(sum(b - a for a, b in self.arcs))
+    def arcs(self) -> tuple[tuple[float, float], ...]:
+        return self.intervals
 
     @property
     def is_full_circle(self) -> bool:
@@ -257,7 +246,7 @@ def _scan_arcs(profile, q: int, tol: float) -> ArcSet:
     # a closed grid of max(4096, 64 q) cells on [0, 2 pi]; the profile at
     # 2 pi equals its value at 0
     npts = max(4096, 64 * q)
-    return ArcSet(arcs=su11.scan_bands(
+    return ArcSet(su11.scan_bands(
         profile, np.linspace(0.0, TWO_PI, npts + 1), tol, q + 1))
 
 

@@ -66,6 +66,19 @@ class GapSearchBudget(su11.SearchBudget):
     max_samples: int = 1000
     resonant_proposals: bool = False
 
+    def prospects(self, t, guard=0.0):
+        """(accept, search) at trace modulus t: the partner alone passes
+        accepts, or a word search may start (an admissible length above
+        1, and t - guard <= 2 - ELLIPTIC_MARGIN).  Guard 0 gives the
+        decision; the block screen widens it by its guard, on arrays."""
+        accept = (1 in self.word_lengths) & (
+            t + guard > 2.0 + self.trace_margin) & (t - guard <= self.trace_cap)
+        # a single letter of an elliptic partner is elliptic, so without
+        # a longer admissible length no word search can succeed
+        search = (max(self.word_lengths, default=0) > 1) & (
+            t - guard <= 2.0 - ELLIPTIC_MARGIN)
+        return accept, search
+
 
 @dataclass(frozen=True)
 class GapCertificate:
@@ -204,11 +217,9 @@ def _resonant_cycles(alpha: cmv.VerblunskyCycle, theta: float):
         nu = round(theta * q / TWO_PI) + int(rng.integers(-1, 2))
         phase = rng.uniform(0.0, TWO_PI)
         amp = math.tanh(radius) * (0.5 + 0.5 * rng.uniform())
-        vals = list(alpha.values)
-        for k in range(1, q):
-            w = amp * np.exp(1j * (phase - TWO_PI * nu * k / q))
-            vals[k] = cmv.poincare_push(vals[k], w)
-        return cmv.VerblunskyCycle(values=tuple(vals))
+        return _moved_cycle(alpha, 1, [
+            amp * np.exp(1j * (phase - TWO_PI * nu * k / q))
+            for k in range(1, q)])
 
     return draw
 
@@ -298,7 +309,7 @@ def _distance(data: Data, moved: Data) -> float:
     Dirac data, Poincare metric for Verblunsky cycles."""
     fam = _family(data)
     reps = int(round(fam.period(moved) / fam.period(data)))
-    return fam.distance(data.repeated(reps) if reps > 1 else data, moved)
+    return fam.distance(data.repeated(reps), moved)
 
 
 def open_gap(data: Data, target: float, eps: float, seed: int,
@@ -352,10 +363,6 @@ def open_gap(data: Data, target: float, eps: float, seed: int,
     # the base must pass the group check; a partner that fails it is a
     # rejected sample
     su11.classify(M0)
-    single_ok = 1 in budget.word_lengths
-    # a single letter of an elliptic partner is elliptic, so without a
-    # longer admissible length no word search can succeed
-    words_ok = max(budget.word_lengths, default=0) > 1
     n = fam.size(base)
     radius = fam.disk_radius(eps / 2.0)
     resonant = (fam.resonant(base, target) if budget.resonant_proposals
@@ -378,15 +385,12 @@ def open_gap(data: Data, target: float, eps: float, seed: int,
         block = min(2 * block, SCREEN_BLOCK)
         traces, sound = su11.screen_traces(fam.monodromies(partners, target))
         # Drop a sample only where the scalar path rejects it on its
-        # trace alone: outside the single-letter accept band, and too
-        # close to parabolic for a word search or with words off.  The
-        # guard covers the gap between the batch and the scalar trace;
-        # an unsound entry is decided by the scalar path.
+        # trace alone, by the same prospects widened by a guard that
+        # covers the gap between the batch and the scalar trace; an
+        # unsound entry is decided by the scalar path.
         t = np.abs(traces)
-        guard = su11.DEFECT_TOL * np.maximum(1.0, t)
-        may_accept = single_ok & (t + guard > 2.0 + budget.trace_margin) & (
-            t - guard <= budget.trace_cap)
-        may_search = words_ok & (t - guard <= 2.0 - ELLIPTIC_MARGIN)
+        may_accept, may_search = budget.prospects(
+            t, su11.DEFECT_TOL * np.maximum(1.0, t))
         for partner, keep in zip(partners, ~sound | may_accept | may_search):
             if not keep:
                 continue
@@ -395,13 +399,11 @@ def open_gap(data: Data, target: float, eps: float, seed: int,
                 t1 = su11.real_trace(M1)
             except NotInGroup:
                 continue
-            if single_ok and budget.accepts(t1):
+            accept, search = budget.prospects(abs(t1))
+            if accept:
                 # the partner alone is hyperbolic: single-letter word
                 word = su11.SemigroupWord(runs=((1, 1),), matrix=M1, trace=t1)
-            elif abs(t1) > 2.0 - ELLIPTIC_MARGIN:
-                continue
-            elif (not words_ok
-                  or su11.commutator_norm(M0, M1) <= COMMUTATOR_MIN):
+            elif not search or su11.commutator_norm(M0, M1) <= COMMUTATOR_MIN:
                 continue
             else:
                 try:
@@ -486,6 +488,34 @@ def _admissible_lengths(max_len: int, lift: int,
                      if math.lcm(current, w * lift) <= MAX_COMMON_BLOCKS)
 
 
+def climb(lifted: dict, target: float, eps: float, rng, ladder,
+          budget: GapSearchBudget, lengths) -> Iterator[Data]:
+    """The gapped data of each rung of the (lift, word_length, margin)
+    ladder whose gap search at the target succeeds, in rung order.
+
+    Every rung draws one seed from rng, also a rung skipped because
+    lengths(lift, word_length), its admissible word lengths, is empty;
+    open_gap runs on lifted[lift] with the budget at those lengths and
+    margin.  Raises BudgetExhausted with the last failure at the end.
+    """
+    failure: Exception = BudgetExhausted("no attempts made")
+    for lift, word_length, margin in ladder:
+        seed = int(rng.integers(2 ** 63))
+        admissible = lengths(lift, word_length)
+        if not admissible:
+            continue
+        try:
+            gapped, _ = open_gap(lifted[lift], target, eps, seed, replace(
+                budget, word_lengths=admissible, trace_margin=margin))
+        except BudgetExhausted as exc:
+            failure = exc
+            continue
+        yield gapped
+    fam = _family(lifted[ladder[0][0]])
+    raise BudgetExhausted(
+        f"gap opening failed at {fam.point_name} {target}: {failure}")
+
+
 def resolvent_cover(data: Data, R: Optional[float], eps: float,
                     seed: int) -> list[Data]:
     """Greedy gapped cover: members within eps of the data whose
@@ -554,25 +584,10 @@ def _cover(data, R, eps, seed):
                 f"cover needs more than {MAX_MEMBERS} members; "
                 f"worst uncovered {fam.point_name} {points[worst]} with "
                 f"max Lyapunov {best[worst]:.3e}")
-        target = float(points[worst])
-        member = None
-        failure: Exception = BudgetExhausted("no attempts made")
-        for lift, word_length, margin in ATTEMPT_LADDER:
-            sub_seed = int(rng.integers(2 ** 63))
-            admissible = _admissible_lengths(word_length, lift, common)
-            if not admissible:
-                continue
-            attempt_budget = replace(COVER_BUDGET, word_lengths=admissible,
-                                     trace_margin=margin)
-            try:
-                member, _cert = open_gap(lifts[lift], target, eps, sub_seed,
-                                         attempt_budget)
-                break
-            except BudgetExhausted as exc:
-                failure = exc
-        if member is None:
-            raise BudgetExhausted(
-                f"gap opening failed at {fam.point_name} {target}: {failure}")
+        member = next(climb(
+            lifts, float(points[worst]), eps, rng, ATTEMPT_LADDER,
+            COVER_BUDGET,
+            lambda lift, length: _admissible_lengths(length, lift, common)))
         common = math.lcm(common, int(round(fam.period(member) / T)))
         raw_members.append(member)
         # A covered point stays covered, so it can never again be the
@@ -592,11 +607,8 @@ def _cover(data, R, eps, seed):
         gapped[at] = row > 0.0
         settled |= gapped[:-1] & gapped[1:]
 
-    members = []
-    for member in raw_members:
-        reps = int(round(common * T / fam.period(member)))
-        members.append(member.repeated(reps) if reps > 1 else member)
-    return members
+    return [member.repeated(int(round(common * T / fam.period(member))))
+            for member in raw_members]
 
 
 def _holes(fam: Family, members: list, points: np.ndarray,
@@ -661,7 +673,7 @@ class ConstructionReport:
     block_period: float
     schedule: tuple[float, ...]
     final_period: float
-    spectrum: Union[dirac.BandSet, cmv.ArcSet]
+    spectrum: su11.BandSet
     measure: float
     c1: float
     epsilon: float

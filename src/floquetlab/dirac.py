@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -140,10 +139,11 @@ class PiecewisePotential:
         return values_at(self, self.boundaries, np.float64(x)).item()
 
     def repeated(self, n: int) -> "PiecewisePotential":
+        """n periods as one; one period is the potential as it is."""
         if n < 1:
             raise ValueError("repetition count must be >= 1")
-        return PiecewisePotential._of(np.tile(self.lengths, n),
-                                      np.tile(self.values, n))
+        return self if n == 1 else PiecewisePotential._of(
+            np.tile(self.lengths, n), np.tile(self.values, n))
 
     def with_value(self, k: int, value) -> "PiecewisePotential":
         values = self.values.copy()
@@ -243,13 +243,16 @@ def sup_distance(p1: PiecewisePotential, p2: PiecewisePotential) -> float:
 def gordon_sup(p: PiecewisePotential, q: float) -> float:
     """The largest mismatch |p(x -+ q) - p(x)| of p with its two
     q-translates, exact: one value per cell of the segment cuts of the
-    three in [0, q) (cell_midpoints); zero when q is a period of p."""
+    three in [0, q) (cell_midpoints); zero when q is a period of p.
+    The mismatch has the period T in x, and p(x -+ q) = p(x -+ q mod T),
+    so the cells are taken in [0, min(q, T)) with the shift q mod T."""
+    span, s = min(q, p.period), math.fmod(q, p.period)
     bounds = p.boundaries
     mids = cell_midpoints(np.concatenate(
-        [_cuts(p, bounds, s, q) for s in (0.0, q, -q)]), q)
+        [_cuts(p, bounds, shift, span) for shift in (0.0, s, -s)]), span)
     v = values_at(p, bounds, mids)
-    diffs = np.concatenate((values_at(p, bounds, mids - q) - v,
-                            values_at(p, bounds, mids + q) - v))
+    diffs = np.concatenate((values_at(p, bounds, mids - s) - v,
+                            values_at(p, bounds, mids + s) - v))
     # Python abs: numpy's complex modulus can differ in the last bit
     return max(map(abs, diffs.tolist()), default=0.0)
 
@@ -455,19 +458,8 @@ def _band_count_bound(period: float, sup: float, R: float) -> int:
     return int(math.floor(2.0 * ((period / math.pi) * (R + sup) + 1.0)))
 
 
-@dataclass(frozen=True)
-class BandSet:
-    """Sorted disjoint closed intervals: a spectrum clipped to [-R, R]."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.intervals)
-
-    @property
-    def measure(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
+# a spectrum clipped to [-R, R]
+BandSet = su11.BandSet
 
 
 def bands(phi: PiecewisePotential, R: float, tol: float,

@@ -8,7 +8,7 @@ on the disk, conjugation of elliptic elements to diagonal rotations,
 the Cayley transform to SL(2,R), Cayley-Hamilton lower bounds used by
 Gordon-type estimates, batched products of real-energy transfer
 matrices stored as the pair (a, b) of [[a, b], [conj b, conj a]], the
-band scan of a discriminant profile, and a deterministic search for
+band scan with its band sets, and a deterministic search for
 hyperbolic elements in the semigroup generated by two elliptic matrices.
 
 Outside the batched kernel, all matrices are 2x2 complex numpy arrays.
@@ -17,6 +17,7 @@ Outside the batched kernel, all matrices are 2x2 complex numpy arrays.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -471,6 +472,22 @@ def bisect_band_edges(profile, lo: np.ndarray, hi: np.ndarray,
     return 0.5 * (lo + hi)
 
 
+@dataclass(frozen=True)
+class BandSet:
+    """Sorted disjoint closed intervals: the bands of a spectrum in a
+    window, or its arcs on the circle (cmv.ArcSet), from scan_bands."""
+
+    intervals: tuple[tuple[float, float], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.intervals)
+
+    @property
+    def measure(self) -> float:
+        return float(sum(b - a for a, b in self.intervals))
+
+
 def scan_bands(profile, points: np.ndarray, tol: float,
                bound: int) -> tuple[tuple[float, float], ...]:
     """Connected components of {|profile| <= 2} in [points[0], points[-1]],
@@ -596,12 +613,10 @@ def _tuple_to_mat(p) -> np.ndarray:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # the parts - 1 cut points in lexicographic order give the
+    # compositions in lexicographic order
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 
 
 def _word_product(runs, powers):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from floquetlab import analysis, cmv, dirac
+from floquetlab import analysis, cmv, dirac, su11
 from floquetlab.errors import EmptySet
 
 
@@ -30,8 +30,23 @@ def test_measure_additive_and_translation_invariant():
 
 
 def test_measure_of_arcs():
-    arcs = cmv.ArcSet(arcs=((0.0, 1.0), (2.0, 2.5)))
+    arcs = cmv.ArcSet(((0.0, 1.0), (2.0, 2.5)))
     assert abs(analysis.lebesgue_measure(arcs) - 1.5) < 1e-15
+
+
+def test_arcs_are_a_band_set():
+    arcs = cmv.ArcSet(((0.0, 1.0), (2.0, 2.5)))
+    bands = bandset((0.0, 1.0), (2.0, 2.5))
+    assert isinstance(arcs, su11.BandSet) and dirac.BandSet is su11.BandSet
+    assert arcs.arcs == arcs.intervals == bands.intervals
+    assert (arcs.count, arcs.measure) == (bands.count, bands.measure) == (2, 1.5)
+    assert arcs != bands
+    assert analysis.lebesgue_measure(arcs) == analysis.lebesgue_measure(bands)
+    assert analysis.hausdorff_distance(arcs, bands) == 0.0
+    assert analysis.hausdorff_distance(arcs, bandset((0.0, 1.0))) == 1.5
+    for eps in (0.25, 0.5, 1.0):
+        assert analysis.covering_count(arcs, eps) == analysis.covering_count(
+            bands, eps)
 
 
 def test_hausdorff_identity_and_translation():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,29 @@ def test_gordon_command(tmp_path):
     assert doc["defect"] == 0.0
 
 
+def run_module(tmp_path, command, cfg, timeout):
+    # python -m floquetlab in a child process of at most 2 GB address
+    # space, so a runaway allocation fails there instead of here
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "floquetlab", command,
+         "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=timeout, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (2 ** 31, 2 ** 31)))
+
+
+@pytest.mark.parametrize("q", [1e9, 1e20, 1e300])
+def test_gordon_command_far_shift(tmp_path, q):
+    # the mismatch has the period of the data, so a shift across many
+    # periods is taken modulo the period; no mismatch exceeds the
+    # difference of the two values, 0.5 - 0.1
+    cfg = {**GORDON_CFG, "gordon": {"q": q, "c": 1.0}}
+    assert run_module(tmp_path, "gordon", cfg, 60).returncode == 0
+    doc = json.loads((tmp_path / "out" / "gordon.json").read_text())
+    assert doc["q"] == q and 0.0 <= doc["defect"] <= 0.5 - 0.1
+
+
 def test_lyapunov_command(tmp_path):
     cfg = dict(CONST_CFG)
     cfg["grid_points"] = 64
@@ -183,6 +207,18 @@ def test_dimension_command(tmp_path):
     assert all(a > b for a, b in zip(measures, measures[1:]))
     assert (tmp_path / "out" / "dimension_stage0.csv").exists()
     assert (tmp_path / "out" / "dimension_stage2.csv").exists()
+
+
+def test_dimension_small_box_scale(tmp_path):
+    # about 1e12 boxes of 1e-12 cover the window's one band; the boxes
+    # inside a band are counted at once, not placed one by one
+    cfg = {**FREE_CFG, "seed": 5,
+           "dimension": {"n_stages": 0, "window": 0.5,
+                         "scales": [1e-3, 1e-12]}}
+    assert run_module(tmp_path, "dimension", cfg, 20).returncode == 0
+    doc = json.loads((tmp_path / "out" / "dimension.json").read_text())
+    counts = doc["stages"][0]["box"]["counts"]
+    assert counts[0] == 1000 and abs(counts[1] - 10 ** 12) <= 1
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -182,7 +182,7 @@ def test_truncation_hausdorff_oracle_random():
 
 
 def test_arc_presentation_merges_across_zero():
-    arcs = cmv.ArcSet(arcs=((0.0, 0.5), (1.0, 2.0), (5.5, TWO_PI)))
+    arcs = cmv.ArcSet(((0.0, 0.5), (1.0, 2.0), (5.5, TWO_PI)))
     merged = arcs.merged_presentation()
     assert len(merged) == 2
     assert merged[-1] == (5.5, TWO_PI + 0.5)

@@ -535,4 +535,99 @@ def test_single_block_concatenation_is_the_block():
     alpha = cmv.VerblunskyCycle((0.5 + 0j, 0.1j))
     assert dirac.concatenate(iter([phi])) is phi
     assert cmv.concatenate_cycles([alpha]) is alpha
+    assert phi.repeated(1) is phi
+    assert alpha.repeated(1) is alpha
     assert dirac.concatenate([phi, FREE]).segments == phi.segments + FREE.segments
+
+
+# ---------------------------------------------------------------------------
+# One verdict, one ladder climb
+# ---------------------------------------------------------------------------
+
+def reference_screen(budget, t):
+    # the block screen's expressions before GapSearchBudget.prospects
+    guard = su11.DEFECT_TOL * np.maximum(1.0, t)
+    single_ok = 1 in budget.word_lengths
+    words_ok = max(budget.word_lengths, default=0) > 1
+    return (single_ok & (t + guard > 2.0 + budget.trace_margin)
+            & (t - guard <= budget.trace_cap),
+            words_ok & (t - guard <= 2.0 - construct.ELLIPTIC_MARGIN))
+
+
+def reference_decision(budget, t1):
+    # the scalar path's decision on |trace| before prospects: accept,
+    # or go on to the commutator check and the word search
+    single_ok = 1 in budget.word_lengths
+    words_ok = max(budget.word_lengths, default=0) > 1
+    accept = single_ok and budget.accepts(t1)
+    return accept, (not accept and not abs(t1) > 2.0 - construct.ELLIPTIC_MARGIN
+                    and words_ok)
+
+
+@pytest.mark.parametrize("lengths", [
+    frozenset({1}), frozenset(range(1, 25)), frozenset({2, 3}), None],
+    ids=["1", "1-24", "2-3", "cover"])
+def test_prospects_is_the_screen_and_the_scalar_decision(lengths):
+    budget = construct.COVER_BUDGET if lengths is None else (
+        construct.GapSearchBudget(word_lengths=lengths))
+    edges = (2.0 - construct.ELLIPTIC_MARGIN, 2.0 + budget.trace_margin,
+             min(budget.trace_cap, 4.0))
+    # a few ulps and a few guards to either side of each edge
+    t = np.unique(np.concatenate(
+        [edge + np.arange(-4, 5) * np.spacing(edge) for edge in edges]
+        + [edge * (1.0 + np.linspace(-3e-7, 3e-7, 25)) for edge in edges]
+        + [np.linspace(0.0, 6.0, 601)]))
+    # the screen, on arrays, with its guard
+    got = budget.prospects(t, su11.DEFECT_TOL * np.maximum(1.0, t))
+    want = reference_screen(budget, t)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the scalar decision, one trace at a time, with guard 0
+    for t1 in np.concatenate((t, -t)).tolist():
+        accept, search = budget.prospects(abs(t1))
+        assert (accept, not accept and search) == reference_decision(
+            budget, t1)
+
+
+def test_climb_draws_one_seed_per_rung_and_raises_the_last_failure(
+        monkeypatch):
+    seen = []
+
+    def gap(data, target, eps, seed, budget):
+        seen.append((data, seed, budget.word_lengths, budget.trace_margin))
+        raise BudgetExhausted(f"failure {len(seen)}")
+    monkeypatch.setattr(construct, "open_gap", gap)
+    ladder = ((2, 1, 0.5), (3, 2, 0.25), (2, 3, 0.125), (3, 1, 0.0625))
+    lifted = {2: FREE.repeated(2), 3: FREE.repeated(3)}
+    # the third rung admits no length and is skipped
+    lengths = lambda lift, length: frozenset(
+        range(1, length + 1)) if length < 3 else frozenset()
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(BudgetExhausted) as info:
+        next(construct.climb(lifted, 0.7, 0.3, rng, ladder,
+                             construct.COVER_BUDGET, lengths))
+    assert str(info.value) == "gap opening failed at energy 0.7: failure 3"
+    seeds = [int(ref.integers(2 ** 63)) for _ in ladder]
+    assert seen == [
+        (lifted[2], seeds[0], frozenset({1}), 0.5),
+        (lifted[3], seeds[1], frozenset({1, 2}), 0.25),
+        (lifted[3], seeds[3], frozenset({1}), 0.0625)]
+    # nothing else drew from the stream
+    assert rng.uniform() == ref.uniform()
+
+
+def test_climb_yields_each_rung_that_succeeds(monkeypatch):
+    def gap(data, target, eps, seed, budget):
+        if budget.trace_margin == 0.25:
+            raise BudgetExhausted("no gap")
+        return (data, budget.trace_margin), None
+    monkeypatch.setattr(construct, "open_gap", gap)
+    alpha = cmv.VerblunskyCycle((0.5 + 0j,))
+    ladder = ((1, 1, 0.5), (1, 1, 0.25), (2, 1, 0.125))
+    climb = construct.climb({1: alpha, 2: alpha.repeated(2)}, 2.0, 0.3,
+                            np.random.default_rng(1), ladder,
+                            construct.COVER_BUDGET,
+                            lambda lift, length: frozenset({1}))
+    assert next(climb) == (alpha, 0.5)
+    assert next(climb) == (alpha.repeated(2), 0.125)
+    with pytest.raises(BudgetExhausted, match="at angle 2.0: no gap"):
+        next(climb)

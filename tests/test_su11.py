@@ -282,3 +282,20 @@ def test_scan_bands_on_uneven_closed_grid():
     for (a, b), (wa, wb) in zip(bands, want):
         assert abs(a - wa) <= tol and abs(b - wb) <= tol
     assert bands[0][0] == 1.0 and bands[-1][1] == 8.0
+
+
+def recursive_compositions(total, parts):
+    # the recursive enumeration _compositions replaced
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_recursive_enumeration():
+    for total in range(1, 17):
+        for parts in range(1, su11.MAX_RUNS + 1):
+            assert list(su11._compositions(total, parts)) == list(
+                recursive_compositions(total, parts))
