@@ -201,10 +201,6 @@ class Schedule:
     seed: int
     stages: tuple[Stage, ...]
 
-    @property
-    def final(self) -> Stage:
-        return self.stages[-1]
-
 
 def step_bound(previous_eps: float, n: int, period: float, measure: float) -> float:
     """Upper bound for the stage-n step size:

@@ -144,7 +144,8 @@ def _write_text(path: Path, text: str, fmt: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=1) + "\n"
+    # standard JSON only: a NaN or an infinity raises, never written
+    return json.dumps(obj, indent=1, allow_nan=False) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -376,10 +377,13 @@ def cmd_gordon(cfg: dict, args) -> int:
     if kind == "cmv" and not shift.is_integer():
         raise ConfigError(f"q must be a whole number for CMV data, got {q!r}")
     value = analysis.gordon_defect(_data_from(cfg, kind), shift, C)
-    doc = {"kind": kind, "q": q, "c": C, "defect": value}
+    # a defect past the double range is null, an empty cell in CSV
+    defect = value if math.isfinite(value) else None
+    doc = {"kind": kind, "q": q, "c": C, "defect": defect}
     _write_text(out / "gordon.json", _json_text(doc), args.format)
     _write_text(out / "gordon.csv",
-                _csv_text(["q", "c", "defect"], [[q, C, value]]),
+                _csv_text(["q", "c", "defect"],
+                          [[q, C, "" if defect is None else defect]]),
                 args.format)
     return EXIT_OK
 

@@ -35,7 +35,7 @@ class VerblunskyCycle:
         if not self.values:
             raise ValueError("cycle needs at least one coefficient")
         for v in self.values:
-            if abs(v) >= 1.0:
+            if not abs(v) < 1.0:        # a NaN coefficient fails too
                 raise OutOfDisk(f"coefficient {v} has modulus {abs(v)} >= 1")
 
     @classmethod
@@ -119,9 +119,9 @@ def _norm_bound(values: np.ndarray) -> np.ndarray:
 
 
 def _stack(cycles: Sequence[VerblunskyCycle]):
-    """at(half) -> (steps, bound): the batch_product arguments of the
-    one-period products of cycles of one length, one column per cycle,
-    of the Szego steps normalised by z^(-1/2) at z = half**2:
+    """at(half) -> (steps, nsteps, bound): the batch_product arguments
+    of the one-period products of cycles of one length, one column per
+    cycle, of the Szego steps normalised by z^(-1/2) at z = half**2:
     a = half / rho and b = -conj(alpha) conj(half) / rho."""
     values = np.array([cycle.values for cycle in cycles]).T[:, :, None]
     r, rb = _szego_rows(values)
@@ -130,24 +130,16 @@ def _stack(cycles: Sequence[VerblunskyCycle]):
     def at(half):
         half_conj = half.conj()
         return ((lambda lo, hi: (r * half[lo:hi], rb * half_conj[lo:hi])),
-                np.broadcast_to(bound, (len(cycles), half.size)))
+                values.shape[0], np.broadcast_to(bound, (len(cycles), half.size)))
 
     return at
-
-
-def _szego_product(alpha: VerblunskyCycle, half: np.ndarray) -> su11.Su11Batch:
-    """One-period products of the normalised Szego steps at z = half**2."""
-    steps, bound = _stack([alpha])(half)
-    P = su11.batch_product(steps, alpha.q, bound)
-    return su11.Su11Batch(*(x[0] for x in P))
 
 
 def cmv_monodromies(cycles: Sequence[VerblunskyCycle],
                     theta: float) -> su11.Su11Batch:
     """Normalised monodromies of several cycles of one length at one
     angle, one column each."""
-    steps, bound = _stack(cycles)(_angles(theta)[1])
-    P = su11.batch_product(steps, cycles[0].q, bound)
+    P = su11.batch_product(*_stack(cycles)(_angles(theta)[1]))
     return su11.Su11Batch(*(x[:, 0] for x in P))
 
 
@@ -157,9 +149,12 @@ def _angles(thetas) -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.exp(0.5j * thetas)
 
 
-def _cmv_trace_profile(alpha: VerblunskyCycle, thetas) -> tuple[np.ndarray, np.ndarray]:
+def _traces(groups, thetas) -> tuple[np.ndarray, np.ndarray]:
+    # the body of grouped_cmv_trace_profile; single data calls it
+    # directly, so rebinding that name leaves the single profiles alone
     thetas, half = _angles(thetas)
-    return su11.batch_trace(_szego_product(alpha, half), thetas)
+    return su11.batch_trace(su11.grouped_product(
+        groups, half, lambda alpha: alpha.q, _stack), thetas)
 
 
 def grouped_cmv_trace_profile(groups: Sequence[tuple[VerblunskyCycle, int]],
@@ -169,14 +164,12 @@ def grouped_cmv_trace_profile(groups: Sequence[tuple[VerblunskyCycle, int]],
     (su11.grouped_product): distinct cycles of one length are stacked as
     the columns of one batch product, angle block by angle block, and
     each distinct (cycle, repetitions) power is computed once."""
-    thetas, half = _angles(thetas)
-    return su11.batch_trace(su11.grouped_product(
-        groups, half, lambda alpha: alpha.q, _stack), thetas)
+    return _traces(groups, thetas)
 
 
 def cmv_discriminant_profile(alpha: VerblunskyCycle, thetas) -> np.ndarray:
     """Real monodromy traces over an angle grid, saturated near 1e130."""
-    return su11.saturated(*_cmv_trace_profile(alpha, thetas))
+    return su11.saturated(*_traces([(alpha, 1)], thetas))
 
 
 def grouped_cmv_discriminant_profile(groups, thetas) -> np.ndarray:
@@ -256,7 +249,7 @@ def cmv_lyapunov(alpha: VerblunskyCycle, theta: float) -> float:
 
 
 def cmv_lyapunov_profile(alpha: VerblunskyCycle, thetas) -> np.ndarray:
-    return su11.log_spectral_radius(*_cmv_trace_profile(alpha, thetas)) / alpha.q
+    return su11.log_spectral_radius(*_traces([(alpha, 1)], thetas)) / alpha.q
 
 
 def extended_cmv_truncation(alpha: VerblunskyCycle, copies: int,

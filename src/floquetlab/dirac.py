@@ -34,11 +34,11 @@ SAME_CUT = 1e-12
 class PiecewisePotential:
     """Periodic operator data: ordered segments of constant value.
 
-    Held as two read-only arrays, lengths (float64) and values
-    (complex128); segments is a tuple of (length, value) pairs built on
-    each access.  The period is the sum of the segment lengths,
-    accumulated in order so it is reproducible bit for bit.  The sup
-    norm is the largest modulus.  Equal data compares and hashes equal.
+    Held as two read-only arrays, lengths (float64, positive and
+    finite) and values (complex128, finite); segments is a tuple of
+    (length, value) pairs built on each access.  The period is the sum
+    of the segment lengths, accumulated in order so it is reproducible
+    bit for bit.  The sup norm is the largest modulus.  Equal data compares and hashes equal.
     """
 
     def __init__(self, segments: Iterable[tuple[float, complex]]):
@@ -46,10 +46,15 @@ class PiecewisePotential:
         if not pairs:
             raise ValueError("potential needs at least one segment")
         lengths = np.array([length for length, _ in pairs], dtype=float)
-        bad = lengths[~(lengths > 0)]
+        values = np.array([v for _, v in pairs], dtype=complex)
+        bad = lengths[~((lengths > 0) & (lengths < math.inf))]
         if bad.size:
-            raise ValueError(f"segment length {float(bad[0])} must be positive")
-        self._hold(lengths, np.array([v for _, v in pairs], dtype=complex))
+            raise ValueError(f"segment length {float(bad[0])} must be "
+                             f"positive and finite")
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"segment value {complex(bad[0])} must be finite")
+        self._hold(lengths, values)
 
     @classmethod
     def _of(cls, lengths: np.ndarray, values: np.ndarray) -> "PiecewisePotential":
@@ -383,10 +388,10 @@ def _norm_bound(lengths: np.ndarray, values: np.ndarray):
 
 
 def _stack(blocks: Sequence[PiecewisePotential]):
-    """at(lams) -> (steps, bound): the batch_product arguments of the
-    period products of the blocks at the real energies lams, one column
-    per block.  Shorter blocks are padded with zero-length segments,
-    whose steps are the identity."""
+    """at(lams) -> (steps, nsteps, bound): the batch_product arguments
+    of the period products of the blocks at the real energies lams, one
+    column per block.  Shorter blocks are padded with zero-length
+    segments, whose steps are the identity."""
     nseg = max(block.lengths.size for block in blocks)
     lengths = np.zeros((nseg, len(blocks), 1))
     values = np.zeros((nseg, len(blocks), 1), dtype=complex)
@@ -395,29 +400,23 @@ def _stack(blocks: Sequence[PiecewisePotential]):
         values[:block.values.size, j, 0] = block.values
     step = _stepper(lengths, values)
     bound = _norm_bound(lengths, values)
-    return lambda lams: (lambda lo, hi: step(lams[lo:hi]), bound(lams))
-
-
-def _period_product(phi: PiecewisePotential, lams: np.ndarray) -> su11.Su11Batch:
-    """One-period products at real energies."""
-    steps, bound = _stack([phi])(lams)
-    P = su11.batch_product(steps, phi.lengths.size, bound)
-    return su11.Su11Batch(*(x[0] for x in P))
+    return lambda lams: (lambda lo, hi: step(lams[lo:hi]), nseg, bound(lams))
 
 
 def monodromies(potentials: Sequence[PiecewisePotential],
                 lam: float) -> su11.Su11Batch:
     """Monodromies of several potentials at one real energy, one column
     each; shorter potentials are padded with identity steps (_stack)."""
-    steps, bound = _stack(potentials)(np.array([lam], dtype=float))
-    P = su11.batch_product(steps, max(p.lengths.size for p in potentials),
-                           bound)
+    P = su11.batch_product(*_stack(potentials)(np.array([lam], dtype=float)))
     return su11.Su11Batch(*(x[:, 0] for x in P))
 
 
-def _trace_profile(phi: PiecewisePotential, lams) -> tuple[np.ndarray, np.ndarray]:
+def _traces(groups, lams) -> tuple[np.ndarray, np.ndarray]:
+    # the body of grouped_trace_profile; single data calls it directly,
+    # so rebinding that name leaves the single profiles alone
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return su11.batch_trace(_period_product(phi, lams), lams)
+    return su11.batch_trace(su11.grouped_product(
+        groups, lams, lambda phi: phi.lengths.size, _stack), lams)
 
 
 def grouped_trace_profile(groups: Sequence[tuple[PiecewisePotential, int]],
@@ -430,14 +429,12 @@ def grouped_trace_profile(groups: Sequence[tuple[PiecewisePotential, int]],
     one batch product, energy block by energy block, and each distinct
     (block, repetitions) power is computed once (binary powers above 8
     repetitions)."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return su11.batch_trace(su11.grouped_product(
-        groups, lams, lambda phi: phi.lengths.size, _stack), lams)
+    return _traces(groups, lams)
 
 
 def discriminant_profile(phi: PiecewisePotential, lams) -> np.ndarray:
     """Real discriminant values over an energy grid, saturated near 1e130."""
-    return su11.saturated(*_trace_profile(phi, lams))
+    return su11.saturated(*_traces([(phi, 1)], lams))
 
 
 def grouped_discriminant_profile(groups, lams) -> np.ndarray:
@@ -502,7 +499,7 @@ def _scan_bands(profile, period: float, sup: float, R: float, tol: float,
 
 def lyapunov_profile(phi: PiecewisePotential, lams) -> np.ndarray:
     """Lyapunov exponent over an array of real energies (vectorized)."""
-    return su11.log_spectral_radius(*_trace_profile(phi, lams)) / phi.period
+    return su11.log_spectral_radius(*_traces([(phi, 1)], lams)) / phi.period
 
 
 def _scaled_monodromy(phi: PiecewisePotential, z) -> tuple[np.ndarray, float]:

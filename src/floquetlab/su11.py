@@ -370,17 +370,21 @@ def grouped_product(groups, points: np.ndarray, nsteps, stack) -> Su11Batch:
     reps) groups at the points, the first group rightmost, with one
     period product per distinct block.
 
-    Distinct blocks (by content) with equal nsteps(block) are the
-    columns of one batch_product: stack(blocks) returns at(points) ->
-    (steps, bound), its arguments with one column per block.  The points
-    are taken in blocks of GROUP_POINTS; in each, every distinct (block,
-    reps) power is computed once, and the powers are multiplied in group
-    order.
+    stack(blocks) returns at(points) -> (steps, nsteps, bound), the
+    arguments of batch_product with one column per block.  Single data,
+    one (block, 1) group, is one batch_product over all the points.
+    Otherwise distinct blocks (by content) with equal nsteps(block) are
+    the columns of one batch_product; the points are taken in blocks of
+    GROUP_POINTS; in each, every distinct (block, reps) power is
+    computed once, and the powers are multiplied in group order.
     """
+    if len(groups) == 1 and groups[0][1] == 1:
+        P = batch_product(*stack([groups[0][0]])(points))
+        return Su11Batch(*(x[0] for x in P))
     by_size: dict[int, list] = {}
     for block in dict.fromkeys(block for block, _ in groups):
         by_size.setdefault(nsteps(block), []).append(block)
-    stacks = [(blocks, stack(blocks), size) for size, blocks in by_size.items()]
+    stacks = [(blocks, stack(blocks)) for blocks in by_size.values()]
     return _joined([_grouped_block(groups, stacks, points[lo:lo + GROUP_POINTS])
                     for lo in range(0, max(points.size, 1), GROUP_POINTS)])
 
@@ -389,9 +393,8 @@ def _grouped_block(groups, stacks, points: np.ndarray) -> Su11Batch:
     # the grouped product at one block of points, in a function of its
     # own so that its products are freed before the next block's
     period = {}
-    for blocks, at, size in stacks:
-        steps, bound = at(points)
-        P = batch_product(steps, size, bound)
+    for blocks, at in stacks:
+        P = batch_product(*at(points))
         period.update((block, Su11Batch(*(x[k] for x in P)))
                       for k, block in enumerate(blocks))
     powers = {key: batch_power(period[key[0]], key[1])

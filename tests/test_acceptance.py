@@ -284,7 +284,7 @@ def test_criterion_10_schedule_coherence():
         ok = ok and d < used
 
     # Gordon defect at q = T_n with C = n + 1 below one at every stage
-    final = sched.final.data
+    final = sched.stages[-1].data
     defects = []
     for n in range(1, len(sched.stages)):
         defect = analysis.gordon_defect(final, sched.stages[n].period,
@@ -295,7 +295,7 @@ def test_criterion_10_schedule_coherence():
     # box-counting slopes on the final stage do not exceed the seed's
     scales = [2.0 ** -k for k in range(3, 10)]
     seed_rep = analysis.box_counting(sched.stages[0].spectrum, scales)
-    final_rep = analysis.box_counting(sched.final.spectrum, scales)
+    final_rep = analysis.box_counting(sched.stages[-1].spectrum, scales)
     ok = ok and final_rep.dim_upper <= seed_rep.dim_upper + 1e-12
 
     measures = [s.measure for s in sched.stages]

@@ -302,7 +302,7 @@ def test_schedule_two_stages_constraints():
             assert used <= recomputed / 2 + 1e-18
 
     # Gordon defect at q = T_n with C = n + 1 stays below one
-    final = sched.final.data
+    final = sched.stages[-1].data
     for n in range(1, len(sched.stages)):
         q = sched.stages[n].period
         defect = analysis.gordon_defect(final, q, float(n + 1))
@@ -311,7 +311,7 @@ def test_schedule_two_stages_constraints():
     # box-counting slopes do not grow from seed to final stage
     scales = [2.0 ** -k for k in range(3, 9)]
     seed_rep = analysis.box_counting(sched.stages[0].spectrum, scales)
-    final_rep = analysis.box_counting(sched.final.spectrum, scales)
+    final_rep = analysis.box_counting(sched.stages[-1].spectrum, scales)
     assert final_rep.dim_upper <= seed_rep.dim_upper + 1e-12
 
 

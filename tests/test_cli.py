@@ -100,6 +100,26 @@ def test_gordon_command(tmp_path):
     assert doc["defect"] == 0.0
 
 
+def test_gordon_overflowing_defect_is_null(tmp_path):
+    # q log c is far past 700: the defect exceeds the double range and
+    # is written as null, an empty cell in CSV, never as Infinity
+    cfg = {**GORDON_CFG, "gordon": {"q": 1e9, "c": 2.0}}
+    rc = cli.main(["gordon", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads((tmp_path / "out" / "gordon.json").read_text(),
+                     parse_constant=refuse)
+    assert doc["defect"] is None
+    lines = (tmp_path / "out" / "gordon.csv").read_text().splitlines()
+    assert lines == ["q,c,defect", "1000000000.0,2.0,"]
+    with pytest.raises(ValueError):
+        cli._json_text({"defect": math.inf})
+
+
 def run_module(tmp_path, command, cfg, timeout):
     # python -m floquetlab in a child process of at most 2 GB address
     # space, so a runaway allocation fails there instead of here
@@ -371,6 +391,22 @@ def test_bad_verblunsky_rows_exit_code(tmp_path, rows):
     ("dos", {**GAPPED_CFG, "dos": {"nodes": 0}}, 2, "config error:"),
     ("dos", {**GAPPED_CFG, "dos": {"nodes": -3}}, 2, "config error:"),
     ("bands", {**FREE_CFG, "oversample": 1e400}, 2, "config error:"),
+    # non-finite Dirac data: infinite lengths and values, NaN values
+    ("bands", {**FREE_CFG, "window": 1.0, "potential": [[1e400, 0.5, 0]]},
+     2, "config error:"),
+    ("bands", {**FREE_CFG, "window": 1.0, "potential": [[1.0, 1e400, 0]]},
+     2, "config error:"),
+    ("bands", {**FREE_CFG, "window": 1.0, "potential": [[1.0, 0.5, "inf"]]},
+     2, "config error:"),
+    ("bands", {**FREE_CFG, "window": 1.0, "potential": [[1.0, "nan", 0]]},
+     2, "config error:"),
+    ("gordon", {**FREE_CFG, "potential": [[1.0, "nan", 0], [0.5, 0.2, 0]],
+                "gordon": {"q": 0.7}}, 2, "config error:"),
+    ("gordon", {**FREE_CFG, "potential": [[1.0, 0.5, 0], [1e400, 0.2, 0]],
+                "gordon": {"q": 0.7}}, 2, "config error:"),
+    # a NaN coefficient is outside the disk, as a modulus of 1 is
+    ("cmv-bands", {**CMV_CFG, "verblunsky": [["nan", 0]]}, 3,
+     "error: coefficient (nan"),
 ], ids=["window", "tol", "segment", "seed", "target", "out-of-disk",
         "zero-epsilon", "negative-epsilon", "q", "dos-section",
         "open-gap-section", "scales", "n-values", "infinite-window",
@@ -380,7 +416,9 @@ def test_bad_verblunsky_rows_exit_code(tmp_path, rows):
         "cmv-negative-q", "negative-seed", "fractional-seed",
         "fractional-n-value", "zero-c", "negative-c", "infinite-c", "nan-c",
         "increasing-scales", "negative-scale", "zero-nodes",
-        "negative-nodes", "infinite-oversample"])
+        "negative-nodes", "infinite-oversample", "infinite-length",
+        "infinite-value", "infinite-imaginary-value", "nan-value",
+        "gordon-nan-value", "gordon-infinite-length", "cmv-nan-coefficient"])
 def test_bad_config_values_exit_code(tmp_path, capsys, command, cfg, code,
                                      prefix):
     rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),

@@ -124,9 +124,9 @@ def long_block():
 def test_long_block_rescales_partial_products():
     phi = long_block()
     lams = np.array([0.0, 0.7, 1.9])
-    _, bound = dirac._stack([phi])(lams)
+    _, _, bound = dirac._stack([phi])(lams)
     assert np.all(bound >= su11.LOG_NO_RESCALE)     # the rescaling path
-    trace, logscale = dirac._trace_profile(phi, lams)
+    trace, logscale = dirac._traces([(phi, 1)], lams)
     assert logscale[0] > 710.0
     for lam, value in zip(lams, dirac.lyapunov_profile(phi, lams)):
         assert abs(value - dirac.lyapunov(phi, lam)) <= 1e-9 * max(1.0, value)
@@ -135,9 +135,10 @@ def test_long_block_rescales_partial_products():
 def test_too_small_bound_raises_not_numbers():
     phi = long_block()
     lams = np.array([0.0, 0.7, 1.9])
-    steps, bound = dirac._stack([phi])(lams)
+    steps, nsteps, bound = dirac._stack([phi])(lams)
+    assert nsteps == 160
     with np.errstate(over="ignore", invalid="ignore"):
-        P = su11.batch_product(steps, 160, np.zeros_like(bound))
+        P = su11.batch_product(steps, nsteps, np.zeros_like(bound))
         with pytest.raises(NonRealTrace):
             su11.batch_trace(su11.Su11Batch(*(x[0] for x in P)), lams)
 
@@ -170,7 +171,8 @@ def test_rescale_free_reduction_is_bitwise(family):
     stack = dirac._stack if family == "dirac" else cmv._stack
     for nsteps, ncols in ((1, 1), (24, 3), (41, 5), (200, 2)):
         at = stack([random_block(family, rng, nsteps) for _ in range(ncols)])
-        steps, bound = at(random_points(family, rng, 700)[0])
+        steps, size, bound = at(random_points(family, rng, 700)[0])
+        assert size == nsteps
         assert np.max(bound) < su11.LOG_NO_RESCALE
         P = su11.batch_product(steps, nsteps, bound)
         Q = su11.batch_product(steps, nsteps, np.full(bound.shape, np.inf))
@@ -178,19 +180,26 @@ def test_rescale_free_reduction_is_bitwise(family):
             assert np.array_equal(x, y)
 
 
-def per_block_reference(product, groups, points):
+def per_block_reference(stack, groups, points):
     """The grouped product as a sequential batch_concat of single-block
-    products raised to their powers."""
-    return su11.batch_concat(su11.batch_power(product(block, points), reps)
+    products raised to their powers; each block's product is one
+    batch_product of its own stack, column 0."""
+    def product(block):
+        P = su11.batch_product(*stack([block])(points))
+        return su11.Su11Batch(*(x[0] for x in P))
+
+    return su11.batch_concat(su11.batch_power(product(block), reps)
                              for block, reps in groups)
 
 
 @pytest.mark.parametrize("family", ["dirac", "cmv"])
 def test_grouped_profile_matches_per_block_reference(family):
     rng = np.random.default_rng(23)
-    grouped, product = {
-        "dirac": (dirac.grouped_trace_profile, dirac._period_product),
-        "cmv": (cmv.grouped_cmv_trace_profile, cmv._szego_product)}[family]
+    grouped, single, stack = {
+        "dirac": (dirac.grouped_trace_profile, dirac.discriminant_profile,
+                  dirac._stack),
+        "cmv": (cmv.grouped_cmv_trace_profile, cmv.cmv_discriminant_profile,
+                cmv._stack)}[family]
     # 1500 points fill several point blocks, each over several chunks;
     # GROUP_POINTS points are one block, returned as it is, and one more
     # point starts a second block, joined to the first
@@ -207,10 +216,25 @@ def test_grouped_profile_matches_per_block_reference(family):
                              su11.GROUP_POINTS + 1, 700, 1500):
             points, labels = random_points(family, rng, n)
             got = grouped(groups, labels)
-            want = su11.batch_trace(per_block_reference(product, groups, points),
+            want = su11.batch_trace(per_block_reference(stack, groups, points),
                                     labels)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+    # single data, one (block, 1) group: one batch_product over all the
+    # points, also past one point block; a lone group of 2 repetitions
+    # takes the blocked path
+    for n in (1, 2, su11.GROUP_POINTS + 1, 2049):
+        for nsteps, reps in ((1, 1), (3, 1), (5, 1), (3, 2)):
+            block = random_block(family, rng, nsteps)
+            points, labels = random_points(family, rng, n)
+            got = grouped([(block, reps)], labels)
+            want = su11.batch_trace(
+                per_block_reference(stack, [(block, reps)], points), labels)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            if reps == 1:
+                assert np.array_equal(single(block, labels),
+                                      su11.saturated(*want))
 
 
 def test_grouped_call_transient_memory():
@@ -244,19 +268,47 @@ def test_wrong_dirac_step_raises(monkeypatch):
 
 
 def test_wrong_szego_step_raises(monkeypatch):
-    def unnormalised(alpha, half):
-        # 1 / (1 - |alpha|^2) where 1 / rho belongs
-        values = np.array(alpha.values)[:, None]
-        r = 1.0 / (1.0 - np.abs(values) ** 2)
-        # the bound of the right step, as the real code passes it
-        return su11.batch_product(
-            lambda lo, hi: (r * half[lo:hi], -r * values.conj() * half[lo:hi].conj()),
-            alpha.q, np.broadcast_to(cmv._norm_bound(values), half.shape))
+    right = cmv._szego_rows
 
-    monkeypatch.setattr(cmv, "_szego_product", unnormalised)
+    def unnormalised(values):
+        # 1 / (1 - |alpha|^2) where 1 / rho belongs; the bound stays
+        # that of the right step, as the real code passes it
+        r, rb = right(values)
+        return r * r, rb * r
+
+    monkeypatch.setattr(cmv, "_szego_rows", unnormalised)
     with pytest.raises(NonRealTrace):
         cmv.cmv_discriminant_profile(cmv.VerblunskyCycle.constant(0.5, 3),
                                      np.linspace(0.0, TWO_PI, 50))
+
+
+def test_single_profiles_never_reach_rebound_grouped_profiles(monkeypatch):
+    # single data goes to each family's _traces directly: rebinding the
+    # grouped trace profiles (as a wrong-kernel check of the band scan
+    # does) changes no single-data profile
+    rng = np.random.default_rng(31)
+    phi = random_potential(rng)
+    alpha = random_cycle(rng, 3)
+    lams = np.linspace(-2.0, 2.0, 9)
+    thetas = np.linspace(0.0, TWO_PI, 9)
+    profiles = [lambda: dirac.discriminant_profile(phi, lams),
+                lambda: dirac.lyapunov_profile(phi, lams),
+                lambda: cmv.cmv_discriminant_profile(alpha, thetas),
+                lambda: cmv.cmv_lyapunov_profile(alpha, thetas)]
+    want = [profile() for profile in profiles]
+
+    def rebound(groups, points):
+        raise AssertionError("single data reached a grouped profile")
+
+    monkeypatch.setattr(dirac, "grouped_trace_profile", rebound)
+    monkeypatch.setattr(cmv, "grouped_cmv_trace_profile", rebound)
+    for profile, values in zip(profiles, want):
+        assert np.array_equal(profile(), values)
+    # the grouped discriminants still go through the rebound names
+    with pytest.raises(AssertionError):
+        dirac.grouped_discriminant_profile([(phi, 2)], lams)
+    with pytest.raises(AssertionError):
+        cmv.grouped_cmv_discriminant_profile([(alpha, 2)], thetas)
 
 
 def test_cmv_thin_run_completes_on_former_nonreal_seed():
